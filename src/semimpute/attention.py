@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
 from .errors import InputError
 from .linalg import ordered_matmul
 from .rng import SplitMix64
 
-# Score rows are processed in blocks of this many rows to bound scratch
-# memory on large n; results are identical to the one-shot computation.
+# Score rows are processed in blocks of this many rows.  The blocks bound
+# only the temporary score and softmax arrays: the returned weights are
+# always a full n x n array, so memory still grows as n squared.  Results
+# are identical to the one-shot computation.
 DEFAULT_ROW_BLOCK = 4096
 
 
@@ -108,15 +109,3 @@ def attention_forward(
         output[start:stop] = ordered_matmul(a, v)
     return output, weights
 
-
-def refine(ds_filled: Dataset, p: AttentionParams, provenance: np.ndarray) -> Dataset:
-    """One refinement pass: attention output at provenance cells, input elsewhere.
-
-    Observed cells (provenance false) pass through bit-identical.
-    """
-    provenance = np.asarray(provenance, dtype=bool)
-    if provenance.shape != ds_filled.values.shape:
-        raise InputError("provenance matrix must match dataset shape")
-    output, _ = attention_forward(ds_filled.values, p)
-    merged = np.where(provenance, output, ds_filled.values)
-    return ds_filled.with_values(merged)

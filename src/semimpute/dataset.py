@@ -34,8 +34,6 @@ class VariableSpec:
     name: str
     kind: str
     levels: tuple[str, ...] = ()
-    observed_min: float | None = None
-    observed_max: float | None = None
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, ORDINAL):
@@ -45,12 +43,6 @@ class VariableSpec:
                 raise SpecError(f"ordinal variable {self.name!r} needs levels")
             if len(set(self.levels)) != len(self.levels):
                 raise SpecError(f"duplicate levels in variable {self.name!r}")
-        if (
-            self.observed_min is not None
-            and self.observed_max is not None
-            and self.observed_min > self.observed_max
-        ):
-            raise SpecError(f"observed_min > observed_max for {self.name!r}")
 
     @property
     def n_levels(self) -> int:
@@ -237,13 +229,7 @@ def load_csv(
 
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(specs))
     mask = np.array(obs, dtype=bool).reshape(len(rows), len(specs))
-    final_specs = []
-    for j, spec in enumerate(specs):
-        if spec.kind == CONTINUOUS and mask[:, j].any():
-            col = values[mask[:, j], j]
-            spec = replace(spec, observed_min=float(col.min()), observed_max=float(col.max()))
-        final_specs.append(spec)
-    return Dataset(values=values, mask=mask, specs=tuple(final_specs))
+    return Dataset(values=values, mask=mask, specs=tuple(specs))
 
 
 def encode_ordinal(ds: Dataset) -> Dataset:

@@ -1,10 +1,12 @@
-"""Matrix products whose bits do not depend on the BLAS thread count.
+"""Linear-algebra helpers shared by the estimation and training modules.
 
-A threaded BLAS may split a long inner sum differently for each thread
-count, so a product summed over thousands of data rows can change in its
-last bits between one and two threads.  Summing the inner dimension in
-chunks no longer than the BLAS kernel's own inner block keeps each chunk
-product a single pass, and the chunks are added here in a fixed order.
+``ordered_matmul`` gives matrix products whose bits do not depend on the
+BLAS thread count.  A threaded BLAS may split a long inner sum differently
+for each thread count, so a product summed over thousands of data rows can
+change in its last bits between one and two threads.  Summing the inner
+dimension in chunks no longer than the BLAS kernel's own inner block keeps
+each chunk product a single pass, and the chunks are added here in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -26,3 +28,12 @@ def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         stop = start + INNER_CHUNK
         out += a[:, start:stop] @ b[start:stop]
     return out
+
+
+def nearest_pd(sigma: np.ndarray) -> np.ndarray:
+    """``sigma`` itself if Cholesky accepts it, else ``sigma + 1e-10 * I``."""
+    try:
+        np.linalg.cholesky(sigma)
+        return sigma
+    except np.linalg.LinAlgError:
+        return sigma + 1e-10 * np.eye(sigma.shape[0])

@@ -15,6 +15,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import NumericalError, ParseError, SpecError
 from .fiml import EmConfig, MvnParams, em_fit, loglik_observed
+from .linalg import nearest_pd
 
 PSI_FLOOR = 1e-12
 
@@ -232,7 +233,7 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
         endogenous=endo,
     )
     mu_i, sigma_i = implied_moments(model)
-    ll = loglik_observed(MvnParams(mu_i, _pd_floor(sigma_i)), ds)
+    ll = loglik_observed(MvnParams(mu_i, nearest_pd(sigma_i)), ds)
     return SemFit(
         model=model,
         params=res.params,
@@ -240,14 +241,6 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
         warnings=warnings,
         em_iterations=res.iterations,
     )
-
-
-def _pd_floor(sigma: np.ndarray) -> np.ndarray:
-    try:
-        np.linalg.cholesky(sigma)
-        return sigma
-    except np.linalg.LinAlgError:
-        return sigma + 1e-10 * np.eye(sigma.shape[0])
 
 
 def fit_baseline(ds: Dataset, cfg: EmConfig = EmConfig()) -> tuple[MvnParams, float]:

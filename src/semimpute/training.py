@@ -27,6 +27,8 @@ from .dataset import (
 )
 from .errors import InputError, NumericalError
 from .fiml import EmConfig, MvnParams, conditional_impute, em_fit
+# bench/reference.py imports the helper under this module-private name.
+from .linalg import nearest_pd as _nearest_pd
 from .linalg import ordered_matmul
 from .missingness import plan_mcar
 from .rng import derive_seed
@@ -170,12 +172,16 @@ def loss_from_state(state: LossState) -> LossParts:
     )
 
 
-def grad_composite(state: LossState) -> GradientSet:
+def grad_composite(
+    state: LossState, output: np.ndarray, weights: np.ndarray
+) -> GradientSet:
     """Analytic gradient of the composite loss w.r.t. wq, wk, wv.
 
-    Backpropagates through the merge, the covariance Frobenius norm, the
-    row softmax, and the three projections; the L1 term contributes
-    gamma * sign(theta) (0 at 0).
+    ``(output, weights)`` is what ``attention_forward`` returned for
+    ``state.x`` and ``state.params``; the backward reuses them instead of
+    recomputing the attention.  Backpropagates through the merge, the
+    covariance Frobenius norm, the row softmax, and the three projections;
+    the L1 term contributes gamma * sign(theta) (0 at 0).
     """
     x = np.asarray(state.x, dtype=np.float64)
     p = state.params
@@ -186,9 +192,7 @@ def grad_composite(state: LossState) -> GradientSet:
     k = x @ p.wk
     v = x @ p.wv
     scale = 1.0 / np.sqrt(float(p.dk))
-    a = _softmax_full(q @ k.T * scale)
-    y = ordered_matmul(a, v)
-    merged = np.where(state.replace_mask, y, x)
+    merged = np.where(state.replace_mask, output, x)
 
     g_merged = np.zeros_like(merged)
     n_eval = int(np.asarray(state.eval_mask).sum())
@@ -209,10 +213,10 @@ def grad_composite(state: LossState) -> GradientSet:
 
     g_y = np.where(state.replace_mask, g_merged, 0.0)
 
-    d_v = ordered_matmul(a.T, g_y)
+    d_v = ordered_matmul(weights.T, g_y)
     d_a = g_y @ v.T
     # Softmax backward per row: dS = A * (dA - rowsum(dA * A)).
-    d_s = a * (d_a - np.sum(d_a * a, axis=1, keepdims=True))
+    d_s = weights * (d_a - np.sum(d_a * weights, axis=1, keepdims=True))
     d_q = ordered_matmul(d_s, k) * scale
     d_k = ordered_matmul(d_s.T, q) * scale
 
@@ -223,12 +227,6 @@ def grad_composite(state: LossState) -> GradientSet:
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name}")
     return GradientSet(d_wq=d_wq, d_wk=d_wk, d_wv=d_wv)
-
-
-def _softmax_full(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def finite_diff_grad(state: LossState, h: float) -> GradientSet:
@@ -397,7 +395,7 @@ def train(
             weights=w,
             ref_cov=ref_cov,
         )
-        output, _ = attention_forward(x_in, params)
+        output, weights = attention_forward(x_in, params)
         merged = np.where(replace, output, x_in)
         parts = composite_loss(
             merged, reference, eval_mask, params, w, ref_cov=ref_cov
@@ -407,7 +405,9 @@ def train(
                 raise NumericalError(f"non-finite {name} loss at epoch {epoch}")
         history.append(EpochRecord(epoch, *parts))
 
-        grads = grad_composite(state)
+        grads = grad_composite(state, output, weights)
+        # Free this epoch's n x n weights before the next forward allocates its own.
+        del weights
         params, adam = adam_step(params, grads, adam, cfg.lr, epoch)
 
         # Refined imputations (pre-update parameters) carry into next epoch.
@@ -533,11 +533,3 @@ def impute(
         warnings=tuple(warnings),
     )
     return out, report
-
-
-def _nearest_pd(sigma: np.ndarray) -> np.ndarray:
-    try:
-        np.linalg.cholesky(sigma)
-        return sigma
-    except np.linalg.LinAlgError:
-        return sigma + 1e-10 * np.eye(sigma.shape[0])

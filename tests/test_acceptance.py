@@ -111,7 +111,7 @@ def test_criterion_02_exact_wilcoxon_matches_enumeration(capsys):
 
 
 def test_criterion_03_analytic_gradient_matches_finite_differences(capsys):
-    from semimpute.attention import AttentionParams, init_params
+    from semimpute.attention import AttentionParams, attention_forward, init_params
     from semimpute.training import LossState
 
     def away_from_kink(m, margin=0.05):
@@ -141,7 +141,7 @@ def test_criterion_03_analytic_gradient_matches_finite_differences(capsys):
             replace_mask=replace,
             weights=LossWeights(alpha=1.0, beta=0.1, gamma=1e-3),
         )
-        analytic = grad_composite(state)
+        analytic = grad_composite(state, *attention_forward(x, state.params))
         numeric = finite_diff_grad(state, h=1e-5)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(np.abs(f), 1e-8)

@@ -8,10 +8,8 @@ from semimpute.attention import (
     AttentionParams,
     attention_forward,
     init_params,
-    refine,
     softmax_rows,
 )
-from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
 
 MASK64 = (1 << 64) - 1
@@ -182,35 +180,3 @@ def test_params_validate_shapes():
         AttentionParams(wq=np.zeros((3, 2)), wk=np.zeros((3, 2)), wv=np.zeros((3, 2)))
     with pytest.raises(InputError):
         AttentionParams(wq=np.zeros((3, 0)), wk=np.zeros((3, 0)), wv=np.zeros((3, 3)))
-
-
-def _filled_dataset(values):
-    values = np.asarray(values, dtype=np.float64)
-    return Dataset(
-        values=values,
-        mask=np.ones_like(values, dtype=bool),
-        specs=tuple(
-            VariableSpec(f"v{j}", "continuous") for j in range(values.shape[1])
-        ),
-    )
-
-
-def test_refine_keeps_observed_cells_bit_identical():
-    rng = np.random.default_rng(9)
-    values = rng.normal(size=(30, 3))
-    ds = _filled_dataset(values)
-    provenance = np.zeros((30, 3), dtype=bool)
-    provenance[::4, 1] = True
-    p = init_params(3, seed=21)
-    refined = refine(ds, p, provenance)
-    same = refined.values[~provenance] == values[~provenance]
-    assert same.all()
-    output, _ = attention_forward(values, p)
-    np.testing.assert_array_equal(refined.values[provenance], output[provenance])
-
-
-def test_refine_rejects_shape_mismatch():
-    ds = _filled_dataset(np.zeros((4, 2)))
-    p = init_params(2, seed=0)
-    with pytest.raises(InputError):
-        refine(ds, p, np.zeros((3, 2), dtype=bool))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semimpute.linalg import INNER_CHUNK, ordered_matmul
+from semimpute.linalg import INNER_CHUNK, nearest_pd, ordered_matmul
 
 
 @pytest.mark.parametrize("inner", [1, INNER_CHUNK, INNER_CHUNK + 1, 600])
@@ -27,3 +27,10 @@ def test_ordered_matmul_adds_chunks_in_order():
     want += a[:, c : 2 * c] @ b[c : 2 * c]
     want += a[:, 2 * c :] @ b[2 * c :]
     assert np.array_equal(ordered_matmul(a, b), want)
+
+
+def test_nearest_pd_keeps_pd_input_and_adds_ridge_otherwise():
+    pd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert nearest_pd(pd) is pd
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    np.testing.assert_array_equal(nearest_pd(indefinite), indefinite + 1e-10 * np.eye(2))

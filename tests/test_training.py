@@ -1,16 +1,18 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semimpute.attention import AttentionParams, init_params
+from semimpute.attention import AttentionParams, attention_forward, init_params
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
 from semimpute.missingness import apply_mcar
 from semimpute.training import (
     AdamState,
+    GradientSet,
     LossState,
     LossWeights,
     TrainConfig,
@@ -105,9 +107,13 @@ def _small_state(seed=0, n=12, d=3, gamma=1e-3):
     )
 
 
+def _analytic_grad(state):
+    return grad_composite(state, *attention_forward(state.x, state.params))
+
+
 def test_gradient_matches_finite_differences():
     state = _small_state()
-    analytic = grad_composite(state)
+    analytic = _analytic_grad(state)
     numeric = finite_diff_grad(state, h=1e-5)
     for a, nmr in zip(analytic, numeric):
         scale = np.maximum(np.abs(nmr), 1e-8)
@@ -118,7 +124,7 @@ def test_gradient_matches_finite_differences_without_l1():
     # The L1 term is only subdifferentiable at 0; gamma=0 removes it so the
     # check is clean even when a parameter sits exactly at zero.
     state = _small_state(seed=3, gamma=0.0)
-    analytic = grad_composite(state)
+    analytic = _analytic_grad(state)
     numeric = finite_diff_grad(state, h=1e-5)
     for a, nmr in zip(analytic, numeric):
         assert np.abs(a - nmr).max() < 1e-6
@@ -144,7 +150,7 @@ state = LossState(
     weights=LossWeights(),
 )
 output, weights = attention_forward(x, state.params)
-np.savez(sys.argv[1], output=output, weights=weights, **grad_composite(state)._asdict())
+np.savez(sys.argv[1], output=output, weights=weights, **grad_composite(state, output, weights)._asdict())
 """
 
 
@@ -189,7 +195,7 @@ def test_state_validates_shapes():
 
 def test_adam_single_step_closed_form():
     p = _zero_params(d=1, k=1)
-    grads = type(grad_composite(_small_state()))(
+    grads = GradientSet(
         d_wq=np.ones((1, 1)), d_wk=np.ones((1, 1)), d_wv=np.ones((1, 1))
     )
     new_p, new_state = adam_step(p, grads, AdamState.zeros(p), lr=0.1, t=1)
@@ -203,7 +209,7 @@ def test_adam_single_step_closed_form():
 
 def test_adam_rejects_zero_step_counter():
     p = _zero_params(d=1, k=1)
-    grads = type(grad_composite(_small_state()))(
+    grads = GradientSet(
         d_wq=np.ones((1, 1)), d_wk=np.ones((1, 1)), d_wv=np.ones((1, 1))
     )
     with pytest.raises(InputError):
@@ -283,6 +289,22 @@ def test_train_self_supervised_runs_without_truth():
     observed = np.asarray(masked.mask)
     same = result.refined.values[observed] == np.asarray(masked.values)[observed]
     assert same.all()
+
+
+def test_train_keeps_one_epochs_attention_weights_alive():
+    # Each epoch's n x n weights must be freed before the next epoch's
+    # forward allocates its own; holding two at once peaks near 6 x 8 n^2.
+    n = 1500
+    masked, _ = _missing_dataset(seed=19, n=n, d=6, rate=0.3)
+    init = _mean_filled(masked)
+    cfg = TrainConfig(max_epochs=3, rel_tol=0.0, seed=2)
+    tracemalloc.start()
+    try:
+        train(masked, init, None, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 n^2 bytes"
 
 
 def test_train_stops_early_on_plateau():
