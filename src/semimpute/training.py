@@ -3,7 +3,9 @@
 Training alternates refinement and parameter updates: each epoch the current
 imputations pass through attention, the composite loss is evaluated on the
 merged matrix, and the attention parameters take one Adam step.  Refined
-imputations are carried into the next epoch.
+imputations are carried into the next epoch.  The gradient recomputes the
+attention weights row block by row block (``attention_backward``), so no
+epoch holds an n x n array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionParams, attention_forward, init_params
+from .attention import AttentionParams, attention_backward, attention_forward, init_params
 from .dataset import (
     CONTINUOUS,
     Dataset,
@@ -127,7 +129,7 @@ def _ml_cov(m: np.ndarray) -> np.ndarray:
 
 
 def _merged_output(state: LossState) -> np.ndarray:
-    output, _ = attention_forward(state.x, state.params)
+    output = attention_forward(state.x, state.params)
     return np.where(state.replace_mask, output, state.x)
 
 
@@ -172,26 +174,19 @@ def loss_from_state(state: LossState) -> LossParts:
     )
 
 
-def grad_composite(
-    state: LossState, output: np.ndarray, weights: np.ndarray
-) -> GradientSet:
+def grad_composite(state: LossState, output: np.ndarray) -> GradientSet:
     """Analytic gradient of the composite loss w.r.t. wq, wk, wv.
 
-    ``(output, weights)`` is what ``attention_forward`` returned for
-    ``state.x`` and ``state.params``; the backward reuses them instead of
-    recomputing the attention.  Backpropagates through the merge, the
-    covariance Frobenius norm, the row softmax, and the three projections;
+    ``output`` is what ``attention_forward`` returned for ``state.x`` and
+    ``state.params``.  Backpropagates through the merge and the covariance
+    Frobenius norm to the attention output, then through the attention by
+    ``attention_backward``, which recomputes the weights block by block;
     the L1 term contributes gamma * sign(theta) (0 at 0).
     """
     x = np.asarray(state.x, dtype=np.float64)
     p = state.params
     w = state.weights
     n = x.shape[0]
-
-    q = x @ p.wq
-    k = x @ p.wk
-    v = x @ p.wv
-    scale = 1.0 / np.sqrt(float(p.dk))
     merged = np.where(state.replace_mask, output, x)
 
     g_merged = np.zeros_like(merged)
@@ -213,16 +208,10 @@ def grad_composite(
 
     g_y = np.where(state.replace_mask, g_merged, 0.0)
 
-    d_v = ordered_matmul(weights.T, g_y)
-    d_a = g_y @ v.T
-    # Softmax backward per row: dS = A * (dA - rowsum(dA * A)).
-    d_s = weights * (d_a - np.sum(d_a * weights, axis=1, keepdims=True))
-    d_q = ordered_matmul(d_s, k) * scale
-    d_k = ordered_matmul(d_s.T, q) * scale
-
-    d_wq = ordered_matmul(x.T, d_q) + w.gamma * np.sign(p.wq)
-    d_wk = ordered_matmul(x.T, d_k) + w.gamma * np.sign(p.wk)
-    d_wv = ordered_matmul(x.T, d_v) + w.gamma * np.sign(p.wv)
+    a_wq, a_wk, a_wv = attention_backward(x, p, g_y)
+    d_wq = a_wq + w.gamma * np.sign(p.wq)
+    d_wk = a_wk + w.gamma * np.sign(p.wk)
+    d_wv = a_wv + w.gamma * np.sign(p.wv)
     for name, g in (("wq", d_wq), ("wk", d_wk), ("wv", d_wv)):
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name}")
@@ -395,7 +384,7 @@ def train(
             weights=w,
             ref_cov=ref_cov,
         )
-        output, weights = attention_forward(x_in, params)
+        output = attention_forward(x_in, params)
         merged = np.where(replace, output, x_in)
         parts = composite_loss(
             merged, reference, eval_mask, params, w, ref_cov=ref_cov
@@ -405,9 +394,7 @@ def train(
                 raise NumericalError(f"non-finite {name} loss at epoch {epoch}")
         history.append(EpochRecord(epoch, *parts))
 
-        grads = grad_composite(state, output, weights)
-        # Free this epoch's n x n weights before the next forward allocates its own.
-        del weights
+        grads = grad_composite(state, output)
         params, adam = adam_step(params, grads, adam, cfg.lr, epoch)
 
         # Refined imputations (pre-update parameters) carry into next epoch.
@@ -504,7 +491,7 @@ def impute(
 
     result = train(norm, filled, truth_norm, cfg, w)
 
-    final_output, _ = attention_forward(result.refined.values, result.params)
+    final_output = attention_forward(result.refined.values, result.params)
     final_norm = np.where(provenance, final_output, norm.values)
     final_ds = norm.with_values(final_norm)
     restored = denormalize(final_ds)

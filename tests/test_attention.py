@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from semimpute.attention import (
     AttentionParams,
+    attention_backward,
     attention_forward,
     init_params,
     softmax_rows,
@@ -31,6 +32,19 @@ def _reference_uniform_stream(seed, count, lo, hi):
         f = (u >> 11) * (1.0 / (1 << 53))
         out.append(lo + (hi - lo) * f)
     return np.array(out)
+
+
+def _dense_weights(x, p):
+    """The full n x n attention weights, which the package never forms."""
+    return softmax_rows((x @ p.wq) @ (x @ p.wk).T / np.sqrt(p.dk))
+
+
+def _dense_backward(x, p, g_y):
+    a = _dense_weights(x, p)
+    q, k, v = x @ p.wq, x @ p.wk, x @ p.wv
+    d_a = g_y @ v.T
+    d_s = a * (d_a - np.sum(d_a * a, axis=1, keepdims=True)) / np.sqrt(p.dk)
+    return x.T @ (d_s @ k), x.T @ (d_s.T @ q), x.T @ (a.T @ g_y)
 
 
 def test_softmax_two_entry_oracle():
@@ -68,9 +82,9 @@ def test_forward_two_row_worked_example():
     # so row 0 averages and row 1 weights by softmax([0, 1]).
     x = np.array([[0.0], [1.0]])
     p = AttentionParams(wq=np.eye(1), wk=np.eye(1), wv=np.eye(1))
-    output, weights = attention_forward(x, p)
+    output = attention_forward(x, p)
     np.testing.assert_allclose(
-        weights,
+        _dense_weights(x, p),
         [[0.5, 0.5], [1.0 - SIGMOID_1, SIGMOID_1]],
         atol=1e-15,
     )
@@ -81,7 +95,8 @@ def test_forward_weights_are_row_stochastic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 5))
     p = init_params(5, seed=11)
-    output, weights = attention_forward(x, p)
+    output = attention_forward(x, p)
+    weights = _dense_weights(x, p)
     assert weights.shape == (40, 40)
     np.testing.assert_allclose(weights.sum(axis=1), np.ones(40), atol=1e-10)
     assert output.shape == x.shape
@@ -92,7 +107,7 @@ def test_forward_output_inside_value_hull():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(25, 4))
     p = init_params(4, seed=2)
-    output, _ = attention_forward(x, p)
+    output = attention_forward(x, p)
     v = x @ p.wv
     lo = v.min(axis=0) - 1e-12
     hi = v.max(axis=0) + 1e-12
@@ -104,19 +119,29 @@ def test_forward_is_row_permutation_equivariant():
     x = rng.normal(size=(17, 3))
     p = init_params(3, seed=8)
     perm = rng.permutation(17)
-    base, _ = attention_forward(x, p)
-    permuted, _ = attention_forward(x[perm], p)
+    base = attention_forward(x, p)
+    permuted = attention_forward(x[perm], p)
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
-def test_forward_blocked_rows_match_unblocked():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(23, 4))
-    p = init_params(4, seed=1)
-    full_out, full_w = attention_forward(x, p)
-    block_out, block_w = attention_forward(x, p, block_rows=7)
-    np.testing.assert_array_equal(full_out, block_out)
-    np.testing.assert_array_equal(full_w, block_w)
+@given(st.integers(1, 700), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(1, 2, 0)
+@example(255, 3, 1)
+@example(256, 3, 2)
+@example(257, 3, 3)
+@example(600, 6, 4)
+@settings(max_examples=30, deadline=None)
+def test_row_blocks_match_dense_attention(n, d, seed):
+    # The blocks cover 256 rows each; the sizes around one block and a
+    # ragged third block are always among the examples.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    g_y = rng.normal(size=(n, d))
+    p = init_params(d, seed=seed)
+    want = _dense_weights(x, p) @ (x @ p.wv)
+    np.testing.assert_allclose(attention_forward(x, p), want, rtol=0, atol=1e-12)
+    for got, dense in zip(attention_backward(x, p, g_y), _dense_backward(x, p, g_y)):
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_mismatched_width():
@@ -135,9 +160,9 @@ def test_forward_rejects_mismatched_width():
 @settings(max_examples=40, deadline=None)
 def test_forward_output_always_finite(x):
     p = init_params(x.shape[1], seed=13)
-    output, weights = attention_forward(x, p)
+    output = attention_forward(x, p)
     assert np.isfinite(output).all()
-    assert np.isfinite(weights).all()
+    assert np.isfinite(_dense_weights(x, p)).all()
 
 
 def test_init_matches_reference_draw_order():

@@ -9,6 +9,7 @@ import pytest
 from semimpute.attention import AttentionParams, attention_forward, init_params
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
+from semimpute.linalg import INNER_CHUNK
 from semimpute.missingness import apply_mcar
 from semimpute.training import (
     AdamState,
@@ -108,7 +109,7 @@ def _small_state(seed=0, n=12, d=3, gamma=1e-3):
 
 
 def _analytic_grad(state):
-    return grad_composite(state, *attention_forward(state.x, state.params))
+    return grad_composite(state, attention_forward(state.x, state.params))
 
 
 def test_gradient_matches_finite_differences():
@@ -131,7 +132,8 @@ def test_gradient_matches_finite_differences_without_l1():
 
 
 # One seeded 600-row state: above the size at which a threaded BLAS splits
-# the sums over rows differently for one and two threads.
+# the sums over rows differently for one and two threads, and three row
+# blocks of attention with a ragged last one.
 _THREAD_PROBE = """
 import sys
 import numpy as np
@@ -149,8 +151,8 @@ state = LossState(
     replace_mask=replace,
     weights=LossWeights(),
 )
-output, weights = attention_forward(x, state.params)
-np.savez(sys.argv[1], output=output, weights=weights, **grad_composite(state, output, weights)._asdict())
+output = attention_forward(x, state.params)
+np.savez(sys.argv[1], output=output, **grad_composite(state, output)._asdict())
 """
 
 
@@ -170,7 +172,7 @@ def test_forward_and_gradient_bits_do_not_depend_on_blas_threads(tmp_path, child
         with np.load(out) as arrays:
             results.append({name: arrays[name].tobytes() for name in arrays.files})
     one, two = results
-    assert sorted(one) == sorted(two) == ["d_wk", "d_wq", "d_wv", "output", "weights"]
+    assert sorted(one) == sorted(two) == ["d_wk", "d_wq", "d_wv", "output"]
     differ = [name for name in one if one[name] != two[name]]
     assert not differ, f"differ between 1 and 2 BLAS threads: {differ}"
 
@@ -291,10 +293,10 @@ def test_train_self_supervised_runs_without_truth():
     assert same.all()
 
 
-def test_train_keeps_one_epochs_attention_weights_alive():
-    # Each epoch's n x n weights must be freed before the next epoch's
-    # forward allocates its own; holding two at once peaks near 6 x 8 n^2.
-    n = 1500
+def test_train_peak_memory_is_linear_in_rows():
+    # Attention works through blocks of INNER_CHUNK rows and never forms the
+    # n x n weights; the backward holds three (INNER_CHUNK, n) buffers.
+    n = 3000
     masked, _ = _missing_dataset(seed=19, n=n, d=6, rate=0.3)
     init = _mean_filled(masked)
     cfg = TrainConfig(max_epochs=3, rel_tol=0.0, seed=2)
@@ -304,7 +306,8 @@ def test_train_keeps_one_epochs_attention_weights_alive():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 n^2 bytes"
+    unit = 8 * n * INNER_CHUNK
+    assert peak < 4.5 * unit, f"peak {peak / unit:.2f} x 8 n INNER_CHUNK bytes"
 
 
 def test_train_stops_early_on_plateau():
