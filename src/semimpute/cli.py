@@ -318,6 +318,8 @@ def cmd_impute(cfg: RunConfig) -> int:
             "n_imputed": report.n_imputed,
             "em_iterations": report.em_iterations,
             "em_loglik": report.em_loglik,
+            "em_stop": report.em_stop,
+            "em_loglik_history": list(report.em_loglik_history),
             "epochs": report.epochs,
             "history": [r._asdict() for r in report.history],
             "warnings": list(report.warnings),

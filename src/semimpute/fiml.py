@@ -1,8 +1,17 @@
 """Multivariate-normal estimation under missing data.
 
-EM over missingness patterns maximizes the observed-data (marginalized)
-log-likelihood; conditional expectation under the fitted parameters provides
-the initial imputation that attention training later refines.
+EM maximizes the observed-data (marginalized) log-likelihood; conditional
+expectation under the fitted parameters provides the initial imputation that
+attention training later refines.
+
+One E-step (``_estep``) serves EM, the log-likelihood and the conditional
+fill.  It groups the rows by their number of observed cells, so there are at
+most d + 1 groups however many missingness patterns the table has, and works
+through each group in blocks of ``linalg.INNER_CHUNK`` rows.  Per block, one
+batched Cholesky factor of the rows' observed covariance blocks gives the
+log-likelihood, the conditional means of the missing cells and their
+conditional covariance (Little & Rubin, *Statistical Analysis with Missing
+Data*, 3rd ed., ch. 11).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, pairwise_stats
 from .errors import InputError, NumericalError
-from .linalg import ordered_matmul
+from .linalg import INNER_CHUNK, ordered_matmul
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -67,31 +76,37 @@ class EmResult(NamedTuple):
     iterations: int
     loglik: float
     warnings: list[str]
+    # "tolerance" or "max_iter": why the iterations stopped.
+    stopped: str
+    # Observed-data log-likelihood at the start and after each iteration.
+    history: tuple[float, ...]
+
+
+class EStep(NamedTuple):
+    """One E-step under (mu, sigma)."""
+
+    loglik: float
+    # The data with every missing cell set to E[x_m | x_o].
+    filled: np.ndarray
+    # Sum over rows of Cov(x_m | x_o), each scattered into its d x d place.
+    correction: np.ndarray
+    warnings: list[str]
 
 
 def _chol_with_ridge(sigma: np.ndarray, ridge: float, warnings: list[str], label: str):
-    """Cholesky factor of sigma, retrying once with a diagonal ridge."""
+    """Cholesky factor of sigma, or of a stack of them, retrying once with a diagonal ridge."""
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         pass
     if ridge > 0:
         try:
-            chol = np.linalg.cholesky(sigma + ridge * np.eye(sigma.shape[0]))
+            chol = np.linalg.cholesky(sigma + ridge * np.eye(sigma.shape[-1]))
             warnings.append(f"ridge {ridge} added to {label} for factorization")
             return chol
         except np.linalg.LinAlgError:
             pass
     raise NumericalError(f"{label} is not positive definite even after ridge")
-
-
-def _patterns(mask: np.ndarray):
-    """Group row indices by missingness pattern (observed-column tuple)."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(mask):
-        key = tuple(np.nonzero(row)[0].tolist())
-        groups.setdefault(key, []).append(i)
-    return sorted(groups.items())
 
 
 def loglik_observed(params: MvnParams, ds: Dataset) -> float:
@@ -100,44 +115,88 @@ def loglik_observed(params: MvnParams, ds: Dataset) -> float:
 
 
 def _loglik_observed(params: MvnParams, ds: Dataset, ridge: float):
-    """Sum of log N(x_obs; mu_obs, sigma_obs,obs) over rows, by pattern."""
+    """Sum of log N(x_obs; mu_obs, sigma_obs,obs) over rows, with its warnings."""
+    step = _estep(params.mu, params.sigma, ds, ridge)
+    return step.loglik, step.warnings
+
+
+def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, ridge: float) -> EStep:
+    """Log-likelihood, conditional-mean fill and covariance correction.
+
+    Rows are grouped by their number k of observed cells.  Complete rows
+    share one factor of sigma; fully-missing rows take mu and contribute
+    sigma to the correction and 0 to the log-likelihood.  The other groups go
+    through ``_estep_block`` in blocks of ``INNER_CHUNK`` rows.
+    """
+    d = ds.d
+    counts = np.asarray(ds.mask).sum(axis=1)
+    by_count = np.argsort(counts, kind="stable")
+    bounds = np.searchsorted(counts[by_count], np.arange(d + 2))
+    filled = ds.values.copy()
+    correction = np.zeros(d * d)
     warnings: list[str] = []
     total = 0.0
-    for obs, rows in _patterns(ds.mask):
-        if not obs:
-            warnings.append(f"{len(rows)} fully-missing row(s) contribute 0")
+    for k in range(d + 1):
+        rows = by_count[bounds[k] : bounds[k + 1]]
+        if rows.size == 0:
             continue
-        idx = np.array(obs)
-        mu_o = params.mu[idx]
-        sig_oo = params.sigma[np.ix_(idx, idx)]
-        chol = _chol_with_ridge(sig_oo, ridge, warnings, "pattern submatrix")
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        x = ds.values[np.ix_(rows, idx)] - mu_o
-        z = np.linalg.solve(chol, x.T)
-        quad = np.sum(z * z, axis=0)
-        total += float(np.sum(-0.5 * (len(obs) * LOG_2PI + logdet + quad)))
-    return total, warnings
+        if k == 0:
+            warnings.append(f"{rows.size} fully-missing row(s) contribute 0")
+            filled[rows] = mu
+            correction += rows.size * sigma.ravel()
+        elif k == d:
+            chol = _chol_with_ridge(sigma, ridge, warnings, "pattern submatrix")
+            logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            z = np.linalg.solve(chol, (ds.values[rows] - mu).T)
+            quad = np.sum(z * z, axis=0)
+            total += float(np.sum(-0.5 * (d * LOG_2PI + logdet + quad)))
+        else:
+            for start in range(0, rows.size, INNER_CHUNK):
+                block = rows[start : start + INNER_CHUNK]
+                total += _estep_block(block, k, mu, sigma, ds, ridge, filled, correction, warnings)
+    return EStep(total, filled, correction.reshape(d, d), warnings)
 
 
-def _conditional_beta(sigma: np.ndarray, o: np.ndarray, m: np.ndarray, ridge, warnings):
-    """Regression matrix Sigma_mo Sigma_oo^{-1} plus the oo Cholesky factor."""
-    sig_oo = sigma[np.ix_(o, o)]
-    sig_mo = sigma[np.ix_(m, o)]
-    chol = _chol_with_ridge(sig_oo, ridge, warnings, "conditioning block")
-    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, sig_mo.T)).T
-    return beta, sig_mo
+def _estep_block(rows, k, mu, sigma, ds, ridge, filled, correction, warnings) -> float:
+    """E-step of rows that each have k observed cells; returns their log-likelihood.
+
+    With L the Cholesky factor of sigma_oo, one batched solve of L against
+    [x_o - mu_o | sigma_om] gives z and W: the quadratic form is |z|^2,
+    E[x_m | x_o] = mu_m + W'z and Cov(x_m | x_o) = sigma_mm - W'W.
+    """
+    d = mu.size
+    # Observed columns first, then missing ones, each in column order.
+    cols = np.argsort(~np.asarray(ds.mask)[rows], axis=1, kind="stable")
+    o, m = cols[:, :k], cols[:, k:]
+    resid = ds.values[rows[:, None], o] - mu[o]
+    rhs = np.concatenate((resid[:, :, None], sigma[o[:, :, None], m[:, None, :]]), axis=2)
+    chol = _chol_with_ridge(sigma[o[:, :, None], o[:, None, :]], ridge, warnings, "pattern submatrix")
+    solved = np.linalg.solve(chol, rhs)
+    z, w = solved[:, :, 0], solved[:, :, 1:]
+    w_t = w.transpose(0, 2, 1)
+    filled[rows[:, None], m] = mu[m] + (w_t @ z[:, :, None])[:, :, 0]
+    cond_cov = sigma[m[:, :, None], m[:, None, :]] - w_t @ w
+    flat = m[:, :, None] * d + m[:, None, :]
+    correction += np.bincount(flat.ravel(), weights=cond_cov.ravel(), minlength=d * d)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    quad = np.sum(z * z, axis=1)
+    return float(np.sum(-0.5 * (k * LOG_2PI + logdet + quad)))
 
 
 def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = None) -> EmResult:
     """EM for (mu, sigma) of a multivariate normal with ignorable missingness.
 
-    E-step: per missingness pattern, fill conditional means and accumulate
-    the conditional covariance of the missing block.  M-step: ML update with
-    denominator n.  Initialization comes from pairwise-complete moments
-    unless ``init`` is given.  The observed-data log-likelihood is checked to
-    be non-decreasing across iterations.
+    Each E-step (``_estep``) gives the observed-data log-likelihood of the
+    current parameters together with the conditional-mean fill and the
+    summed conditional covariance of the missing cells; the M-step is the
+    ML update with denominator n.  So one E-step per iteration serves both
+    the stopping test and the next M-step.  Initialization comes from
+    pairwise-complete moments unless ``init`` is given.  The log-likelihood
+    is checked to be non-decreasing across iterations; ``history`` records
+    it at the start and after each iteration, and ``stopped`` says whether
+    the relative change fell below ``cfg.tol`` or ``cfg.max_iter`` ran out.
     """
-    n, d = ds.values.shape
+    n = ds.n
     for j, spec in enumerate(ds.specs):
         if int(ds.mask[:, j].sum()) < 2:
             raise InputError(f"column {spec.name!r} needs at least 2 observed cells")
@@ -152,50 +211,44 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
         mu = init.mu.copy()
         sigma = _ensure_pd(init.sigma.copy(), cfg.ridge, warnings)
 
-    groups = _patterns(ds.mask)
-    prev_ll, ll_warn = _loglik_observed(MvnParams(mu, sigma), ds, cfg.ridge)
-    warnings.extend(ll_warn)
-
+    step = _estep(mu, sigma, ds, cfg.ridge)
+    warnings.extend(step.warnings)
+    history = [step.loglik]
+    stopped = "max_iter"
     iterations = 0
-    ll = prev_ll
     for iteration in range(1, cfg.max_iter + 1):
         iterations = iteration
-        filled = ds.values.copy()
-        correction = np.zeros((d, d))
-        for obs, rows in groups:
-            if len(obs) == d:
-                continue
-            if not obs:
-                filled[rows, :] = mu
-                correction += len(rows) * sigma
-                continue
-            o = np.array(obs)
-            m = np.array([j for j in range(d) if j not in set(obs)])
-            beta, sig_mo = _conditional_beta(sigma, o, m, cfg.ridge, warnings)
-            resid = ds.values[np.ix_(rows, o)] - mu[o]
-            filled[np.ix_(rows, m)] = mu[m] + resid @ beta.T
-            cond_cov = sigma[np.ix_(m, m)] - beta @ sig_mo.T
-            correction[np.ix_(m, m)] += len(rows) * cond_cov
-
-        mu = filled.mean(axis=0)
-        centered = filled - mu
-        sigma = (ordered_matmul(centered.T, centered) + correction) / n
-        sigma = _ensure_pd(0.5 * (sigma + sigma.T), cfg.ridge, warnings)
-
-        ll, _ = _loglik_observed(MvnParams(mu, sigma), ds, cfg.ridge)
+        mu, sigma = _mstep(step, n, cfg.ridge, warnings)
+        prev_ll = step.loglik
+        # Free the last fill before the next E-step allocates its own.
+        del step
+        step = _estep(mu, sigma, ds, cfg.ridge)
+        # Later E-steps repeat the first one's messages; keep only new ones.
+        warnings.extend(w for w in dict.fromkeys(step.warnings) if w not in warnings)
+        ll = step.loglik
+        history.append(ll)
         if ll < prev_ll - MONOTONE_SLACK:
             raise NumericalError(f"log-likelihood decreased ({prev_ll!r} -> {ll!r})")
         if abs(ll - prev_ll) / max(abs(prev_ll), 1.0) < cfg.tol:
-            prev_ll = ll
+            stopped = "tolerance"
             break
-        prev_ll = ll
 
     return EmResult(
         params=MvnParams(mu, sigma),
         iterations=iterations,
-        loglik=float(ll),
+        loglik=float(history[-1]),
         warnings=warnings,
+        stopped=stopped,
+        history=tuple(history),
     )
+
+
+def _mstep(step: EStep, n: int, ridge: float, warnings: list[str]):
+    """ML mean and covariance (denominator n) of the filled data plus the correction."""
+    mu = step.filled.mean(axis=0)
+    centered = step.filled - mu
+    sigma = (ordered_matmul(centered.T, centered) + step.correction) / n
+    return mu, _ensure_pd(0.5 * (sigma + sigma.T), ridge, warnings)
 
 
 def _ensure_pd(sigma: np.ndarray, ridge: float, warnings: list[str] | None = None):
@@ -234,18 +287,5 @@ def conditional_impute(params: MvnParams, ds: Dataset) -> tuple[Dataset, np.ndar
     matrix flagging exactly the filled cells.  Observed cells pass through
     bit-identical; fully-missing rows get the unconditional mean.
     """
-    values = ds.values.copy()
-    provenance = ~np.asarray(ds.mask)
-    warnings: list[str] = []
-    for obs, rows in _patterns(ds.mask):
-        if len(obs) == ds.d:
-            continue
-        if not obs:
-            values[rows, :] = params.mu
-            continue
-        o = np.array(obs)
-        m = np.array([j for j in range(ds.d) if j not in set(obs)])
-        beta, _ = _conditional_beta(params.sigma, o, m, 1e-6, warnings)
-        resid = ds.values[np.ix_(rows, o)] - params.mu[o]
-        values[np.ix_(rows, m)] = params.mu[m] + resid @ beta.T
-    return ds.with_values(values), provenance
+    step = _estep(params.mu, params.sigma, ds, ridge=1e-6)
+    return ds.with_values(step.filled), ~np.asarray(ds.mask)

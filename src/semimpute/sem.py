@@ -177,6 +177,8 @@ class SemFit(NamedTuple):
     loglik: float
     warnings: list[str]
     em_iterations: int
+    em_stop: str
+    em_loglik_history: tuple[float, ...]
 
 
 def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> SemFit:
@@ -240,6 +242,8 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
         loglik=float(ll),
         warnings=warnings,
         em_iterations=res.iterations,
+        em_stop=res.stopped,
+        em_loglik_history=res.history,
     )
 
 

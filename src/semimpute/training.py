@@ -421,6 +421,10 @@ class ImputeReport:
     n_imputed: int
     em_iterations: int
     em_loglik: float
+    # Why EM stopped ("tolerance" or "max_iter"; None when nothing was fit)
+    # and its observed-data log-likelihood at the start and per iteration.
+    em_stop: str | None
+    em_loglik_history: tuple[float, ...]
     history: tuple[EpochRecord, ...]
     warnings: tuple[str, ...]
 
@@ -454,6 +458,8 @@ def impute(
             n_imputed=0,
             em_iterations=0,
             em_loglik=float("nan"),
+            em_stop=None,
+            em_loglik_history=(),
             history=(),
             warnings=("dataset complete; nothing to impute",),
         )
@@ -468,6 +474,7 @@ def impute(
         warnings.extend(fit.warnings)
         em_iters = fit.em_iterations
         em_ll = fit.loglik
+        em_stop, em_history = fit.em_stop, fit.em_loglik_history
         if moments == "implied":
             mu_i, sigma_i = implied_moments(fit.model)
             init_params_mvn = MvnParams(mu_i, _nearest_pd(sigma_i))
@@ -478,6 +485,7 @@ def impute(
         warnings.extend(res.warnings)
         em_iters = res.iterations
         em_ll = res.loglik
+        em_stop, em_history = res.stopped, res.history
         init_params_mvn = res.params
 
     filled, provenance = conditional_impute(init_params_mvn, norm)
@@ -516,6 +524,8 @@ def impute(
         n_imputed=int(provenance.sum()),
         em_iterations=em_iters,
         em_loglik=em_ll,
+        em_stop=em_stop,
+        em_loglik_history=em_history,
         history=result.history,
         warnings=tuple(warnings),
     )

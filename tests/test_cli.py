@@ -139,6 +139,9 @@ def test_impute_writes_complete_output_and_is_deterministic(tmp_path, bivariate)
     assert report["n_imputed"] == 20
     assert report["epochs"] == 3
     assert len(report["history"]) == 3
+    assert report["em_stop"] == "tolerance"
+    assert len(report["em_loglik_history"]) == report["em_iterations"] + 1
+    assert report["em_loglik_history"][-1] == report["em_loglik"]
     assert report["outputs"]["imputed"].endswith("a.imputed.csv")
 
     prov = _read(f"{out_a}.provenance.csv").decode().strip().split("\n")

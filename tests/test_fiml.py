@@ -1,17 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimpute.dataset import Dataset, VariableSpec
+from semimpute.dataset import Dataset, VariableSpec, normalize
 from semimpute.errors import InputError, NumericalError
 from semimpute.fiml import (
+    LOG_2PI,
+    MONOTONE_SLACK,
     EmConfig,
     MvnParams,
+    _estep,
     conditional_impute,
     em_fit,
     loglik_observed,
 )
+from semimpute.linalg import INNER_CHUNK
 from semimpute.missingness import apply_mcar
 
 STD_NORMAL_LL_AT_MEAN = -0.9189385332046727  # -log(2*pi)/2
@@ -135,3 +141,120 @@ def test_em_monotonicity_holds_on_random_problems(seed):
     masked, _ = apply_mcar(ds, float(rng.uniform(0.05, 0.4)), seed=seed)
     res = em_fit(masked)
     assert np.isfinite(res.loglik)
+
+
+def test_em_reports_stop_reason_and_monotone_history(make_mvn):
+    truth = make_mvn(4, n=400)
+    masked, _ = apply_mcar(truth, 0.3, seed=5)
+    capped = em_fit(masked, EmConfig(max_iter=1))
+    assert capped.stopped == "max_iter"
+    assert len(capped.history) == 2
+    res = em_fit(masked)
+    assert res.stopped == "tolerance"
+    assert len(res.history) == res.iterations + 1
+    assert np.all(np.diff(res.history) >= -MONOTONE_SLACK)
+    assert res.history[-1] == res.loglik
+
+
+def test_em_fits_near_duplicate_columns():
+    # cond(sigma) is about 1e12: column 1 is column 0 plus 1e-6 noise.
+    n = 2000
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((n, 3))
+    e = rng.standard_normal(n)
+    e2 = rng.standard_normal(n)
+    values = np.column_stack([z[:, 0], z[:, 0] + 1e-6 * e, z[:, 1], z[:, 1] + z[:, 2] + 0.1 * e2, z[:, 2]])
+    masked, _ = apply_mcar(_dataset(values), 0.3, seed=3)
+    res = em_fit(normalize(masked))
+    assert res.stopped == "tolerance"
+    assert np.isfinite(res.loglik)
+
+
+def _oracle_estep(mu, sigma, values, mask):
+    """E-step pattern by pattern, with the arithmetic of one pattern at a time."""
+    d = mu.size
+    filled = values.copy()
+    correction = np.zeros((d, d))
+    total = 0.0
+    patterns: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(mask):
+        patterns.setdefault(tuple(np.flatnonzero(row).tolist()), []).append(i)
+    for obs, rows in patterns.items():
+        if not obs:
+            filled[rows, :] = mu
+            correction += len(rows) * sigma
+            continue
+        o = np.array(obs)
+        m = np.array([j for j in range(d) if j not in set(obs)], dtype=int)
+        chol = np.linalg.cholesky(sigma[np.ix_(o, o)])
+        resid = values[np.ix_(rows, o)] - mu[o]
+        z = np.linalg.solve(chol, resid.T)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        total += float(np.sum(-0.5 * (len(obs) * LOG_2PI + logdet + np.sum(z * z, axis=0))))
+        if m.size:
+            sig_mo = sigma[np.ix_(m, o)]
+            beta = np.linalg.solve(chol.T, np.linalg.solve(chol, sig_mo.T)).T
+            filled[np.ix_(rows, m)] = mu[m] + resid @ beta.T
+            correction[np.ix_(m, m)] += len(rows) * (sigma[np.ix_(m, m)] - beta @ sig_mo.T)
+    return total, filled, correction
+
+
+def _check_estep_against_oracle(seed, n, d, rate):
+    """Random (mu, sigma) and n rows, plus a complete, a fully-missing and a
+    single-observed row; returns the sizes of the observed-count groups."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    sigma = a @ a.T / d + 0.5 * np.eye(d)
+    mu = rng.standard_normal(d)
+    values = rng.standard_normal((n + 3, d))
+    mask = rng.random((n + 3, d)) >= rate
+    mask[0] = True
+    mask[1] = False
+    mask[2] = np.arange(d) == rng.integers(d)
+    ds = _dataset(values, mask)
+    step = _estep(mu, sigma, ds, ridge=1e-6)
+    ll, filled, correction = _oracle_estep(mu, sigma, values, mask)
+    assert np.isfinite(step.loglik)
+    assert np.isfinite(step.filled).all() and np.isfinite(step.correction).all()
+    assert step.loglik == pytest.approx(ll, rel=1e-12, abs=0)
+    np.testing.assert_allclose(step.filled, filled, rtol=0, atol=1e-12)
+    # The correction sums one matrix per row and enters sigma divided by the
+    # row count; compared at that scale, as the fill's cells are.
+    rows = n + 3
+    np.testing.assert_allclose(step.correction / rows, correction / rows, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(step.filled[mask], values[mask])
+    return np.bincount(mask.sum(axis=1), minlength=d + 1)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=0.9),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_estep_matches_per_pattern_oracle(seed, n, d, rate):
+    _check_estep_against_oracle(seed, n, d, rate)
+
+
+def test_batched_estep_matches_oracle_across_blocks():
+    groups = _check_estep_against_oracle(seed=1, n=600, d=2, rate=0.5)
+    # The one-observed-cell group fills more than one block.
+    assert groups[1] > INNER_CHUNK
+
+
+def test_em_memory_stays_linear_in_rows():
+    n, d = 20000, 21
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((d, d))
+    truth = _dataset(rng.standard_normal((n, d)) @ a)
+    masked, _ = apply_mcar(truth, 0.3, seed=8)
+    tracemalloc.start()
+    try:
+        em_fit(masked, EmConfig(max_iter=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Gathering the observed blocks of all rows at once, about k^2 = 225
+    # floats per row, would pass this bound by itself.
+    assert peak < 10 * 8 * n * d

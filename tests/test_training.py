@@ -329,6 +329,7 @@ def test_impute_complete_dataset_is_a_warned_no_op():
     np.testing.assert_array_equal(out.values, truth.values)
     assert report.n_imputed == 0
     assert report.epochs == 0
+    assert report.em_stop is None and report.em_loglik_history == ()
     assert any("nothing to impute" in w for w in report.warnings)
 
 
@@ -344,6 +345,9 @@ def test_impute_round_trip_preserves_observed_bits():
     np.testing.assert_array_equal(report.provenance, ~observed)
     assert report.em_iterations >= 1
     assert np.isfinite(report.em_loglik)
+    assert report.em_stop in ("tolerance", "max_iter")
+    assert len(report.em_loglik_history) == report.em_iterations + 1
+    assert report.em_loglik_history[-1] == report.em_loglik
 
 
 def test_impute_snaps_ordinal_cells_to_valid_levels():
