@@ -3,9 +3,19 @@
 Each imputed row is rewritten as a convex combination of (projected) rows of
 the current matrix, so similar records inform each other's missing cells.
 The n x n attention weights are never formed whole: forward and backward
-work through blocks of ``INNER_CHUNK`` rows, and each block holds the full
-softmax of its rows.  Memory grows as n * INNER_CHUNK; time still grows as
-n squared.
+work through blocks of ``INNER_CHUNK`` rows of scores, one reused
+(INNER_CHUNK, n) buffer in the forward and two in the backward.  Memory
+grows as n * INNER_CHUNK; time still grows as n squared.
+
+The 1/sqrt(k) score scale is folded into q.  The forward returns the
+output and one log-normalizer per row, ``lse = log sum_j exp(score_ij)``,
+an n-vector.  Per block it takes one product for the scores, the
+finiteness check, the row max, an in-place shift and exp, the row sum and
+one product with the values; the row sums divide the (rows, d) product,
+never the (rows, n) weights.  The backward rebuilds each block's weights
+as ``exp([q, -lse] @ [k, 1]^T)``, one product and one exp, and the score
+gradient as ``a * ([g_y, -D] @ [v, 1]^T)`` with ``D = rowsum(g_y * output)``,
+one product and one multiply; this is the FlashAttention-2 form (Dao 2023).
 """
 
 from __future__ import annotations
@@ -70,91 +80,100 @@ def init_params(d: int, seed: int, k: int | None = None) -> AttentionParams:
     return AttentionParams(wq=draw(d, k), wk=draw(d, k), wv=draw(d, d))
 
 
-def _softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """Per-row softmax of ``s``, written over ``s`` and returned."""
+def _shift_exp_inplace(s: np.ndarray) -> np.ndarray:
+    """Write ``exp(s - rowmax(s))`` over ``s``; return the row maxima."""
     if not np.all(np.isfinite(s)):
         raise InputError("softmax input must be finite")
-    s -= s.max(axis=-1, keepdims=True)
+    row_max = s.max(axis=-1, keepdims=True)
+    s -= row_max
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
+    return row_max
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Numerically stable per-row softmax; rows sum to 1 within 1e-12."""
-    return _softmax_inplace(np.array(m, dtype=np.float64))
+    s = np.array(m, dtype=np.float64)
+    _shift_exp_inplace(s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def _project(x: np.ndarray, p: AttentionParams):
+    """``x`` as float64 and its projections; q carries the 1/sqrt(k) scale."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.d:
         raise InputError(f"input must be n x {p.d}")
-    return x, x @ p.wq, x @ p.wk, x @ p.wv, 1.0 / np.sqrt(float(p.dk))
+    scale = 1.0 / np.sqrt(float(p.dk))
+    return x, (x @ p.wq) * scale, x @ p.wk, x @ p.wv, scale
 
 
-def _weights_block(
-    q: np.ndarray, k: np.ndarray, start: int, scale: float, buf: np.ndarray
-) -> np.ndarray:
-    """Attention weights of rows ``start:start + INNER_CHUNK``, in ``buf``.
-
-    ``buf`` is an (min(n, INNER_CHUNK), n) array reused across blocks; the
-    returned block is a view of its leading rows.
-    """
-    q_rows = q[start : start + INNER_CHUNK]
-    a = np.matmul(q_rows, k.T, out=buf[: q_rows.shape[0]])
-    a *= scale
-    return _softmax_inplace(a)
-
-
-def attention_forward(x: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """Scaled dot-product attention over rows.
+def attention_forward(x: np.ndarray, p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over rows, and each row's log-normalizer.
 
     Output rows are convex combinations of the rows of x @ wv, weighted by
-    softmax(q k^T / sqrt(k)) with q = x @ wq and k = x @ wk.
+    softmax(q k^T / sqrt(k)) with q = x @ wq and k = x @ wk.  The second
+    value is ``lse``, the per-row log of the softmax denominator, which
+    ``attention_backward`` uses to rebuild the weights.
     """
-    x, q, k, v, scale = _project(x, p)
+    x, q, k, v, _ = _project(x, p)
     n = x.shape[0]
     buf = np.empty((min(n, INNER_CHUNK), n))
     output = np.empty_like(v)
+    lse = np.empty(n)
     for start in range(0, n, INNER_CHUNK):
-        a = _weights_block(q, k, start, scale, buf)
-        output[start : start + INNER_CHUNK] = ordered_matmul(a, v)
-    return output
+        rows = slice(start, start + INNER_CHUNK)
+        q_rows = q[rows]
+        e = np.matmul(q_rows, k.T, out=buf[: q_rows.shape[0]])
+        row_max = _shift_exp_inplace(e)
+        total = e.sum(axis=1, keepdims=True)
+        # Normalize the (rows, d) product, not the (rows, n) weights.
+        output[rows] = ordered_matmul(e, v) / total
+        lse[rows] = (row_max + np.log(total))[:, 0]
+    return output, lse
 
 
 def attention_backward(
-    x: np.ndarray, p: AttentionParams, g_y: np.ndarray
+    x: np.ndarray,
+    p: AttentionParams,
+    g_y: np.ndarray,
+    output: np.ndarray,
+    lse: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. (wq, wk, wv) of sum(g_y * attention_forward(x, p)).
+    """Gradients w.r.t. (wq, wk, wv) of sum(g_y * attention_forward(x, p)[0]).
 
-    Each row block's weights are recomputed rather than stored.  The sums
-    over rows for d_k and d_v add the blocks in order, which is the chunk
-    order of ``ordered_matmul``.
+    ``output`` and ``lse`` are what ``attention_forward(x, p)`` returned.
+    Each row block's weights are rebuilt from ``lse`` rather than stored.
+    The sums over rows for d_k and d_v add the blocks in order, which is
+    the chunk order of ``ordered_matmul``.
     """
     x, q, k, v, scale = _project(x, p)
     n = x.shape[0]
-    a_buf, d_a_buf, prod_buf = (np.empty((min(n, INNER_CHUNK), n)) for _ in range(3))
+    ones = np.ones((n, 1))
+    # Softmax backward per row: dS = A * (dA - rowsum(dA * A)), where
+    # dA = g_y v^T and rowsum(dA * A) = rowsum(g_y * output).
+    d_out = np.einsum("ij,ij->i", g_y, output)[:, None]
+    q_aug, k_aug = np.hstack([q, -lse[:, None]]), np.hstack([k, ones])
+    g_aug, v_aug = np.hstack([g_y, -d_out]), np.hstack([v, ones])
+    a_buf, d_s_buf = (np.empty((min(n, INNER_CHUNK), n)) for _ in range(2))
     d_q = np.empty_like(q)
     for start in range(0, n, INNER_CHUNK):
         rows = slice(start, start + INNER_CHUNK)
-        a = _weights_block(q, k, start, scale, a_buf)
-        m = a.shape[0]
-        d_a = np.matmul(g_y[rows], v.T, out=d_a_buf[:m])
-        # Softmax backward per row: dS = A * (dA - rowsum(dA * A)).
-        d_a -= np.multiply(d_a, a, out=prod_buf[:m]).sum(axis=1, keepdims=True)
-        d_s = np.multiply(a, d_a, out=d_a)
+        q_aug_rows = q_aug[rows]
+        a = a_buf[: q_aug_rows.shape[0]]
+        np.exp(np.matmul(q_aug_rows, k_aug.T, out=a), out=a)
+        d_s = np.matmul(g_aug[rows], v_aug.T, out=d_s_buf[: a.shape[0]])
+        d_s *= a
         d_q[rows] = ordered_matmul(d_s, k)
-        d_k_part = d_s.T @ q[rows]
-        d_v_part = a.T @ g_y[rows]
+        d_k_part = q[rows].T @ d_s
+        d_v_part = g_y[rows].T @ a
         if start == 0:
-            d_k, d_v = d_k_part, d_v_part
+            d_k_t, d_v_t = d_k_part, d_v_part
         else:
-            d_k += d_k_part
-            d_v += d_v_part
+            d_k_t += d_k_part
+            d_v_t += d_v_part
     d_q *= scale
-    d_k *= scale
     return (
         ordered_matmul(x.T, d_q),
-        ordered_matmul(x.T, d_k),
-        ordered_matmul(x.T, d_v),
+        ordered_matmul(x.T, d_k_t.T),
+        ordered_matmul(x.T, d_v_t.T),
     )

@@ -29,6 +29,11 @@ class MaskPlan:
     def count(self) -> int:
         return len(self.cells)
 
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index arrays of ``cells``, for fancy indexing."""
+        rows_cols = np.array(self.cells, dtype=np.intp).reshape(-1, 2)
+        return rows_cols[:, 0], rows_cols[:, 1]
+
 
 def plan_mcar(
     shape: tuple[int, int],
@@ -48,22 +53,20 @@ def plan_mcar(
     n, d = shape
     if not 0.0 <= rate < 1.0:
         raise InputError(f"missingness rate must lie in [0, 1), got {rate}")
-    colset = set(range(d)) if columns is None else set(columns)
-    for c in colset:
+    scope = np.zeros((n, d), dtype=bool)
+    for c in range(d) if columns is None else columns:
         if not 0 <= c < d:
             raise InputError(f"mask column {c} out of range for {d} columns")
-    pool: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(d):
-            if j not in colset:
-                continue
-            if eligible is not None and not eligible[i, j]:
-                continue
-            pool.append((i, j))
-    m = len(pool)
-    count = int(np.floor(rate * m + 0.5))
-    picked = choose_without_replacement(m, count, seed)
-    cells = tuple(pool[t] for t in picked)
+        scope[:, c] = True
+    if eligible is not None:
+        eligible = np.asarray(eligible, dtype=bool)
+        if eligible.shape != (n, d):
+            raise InputError(f"eligible must be {n} x {d}, got {eligible.shape}")
+        scope &= eligible
+    pool = np.flatnonzero(scope)
+    count = int(np.floor(rate * pool.size + 0.5))
+    picked = pool[choose_without_replacement(pool.size, count, seed)]
+    cells = tuple(zip((picked // d).tolist(), (picked % d).tolist()))
     return MaskPlan(shape=shape, cells=cells, rate=rate, seed=seed)
 
 
@@ -82,9 +85,9 @@ def apply_mcar(
     plan = plan_mcar(
         (ds.n, ds.d), rate, seed, columns=columns, eligible=np.asarray(ds.mask)
     )
+    cells = plan.index()
     values = ds.values.copy()
     mask = ds.mask.copy()
-    for i, j in plan.cells:
-        values[i, j] = MISSING_SENTINEL
-        mask[i, j] = False
+    values[cells] = MISSING_SENTINEL
+    mask[cells] = False
     return ds.with_values(values).with_mask(mask), plan

@@ -3,9 +3,11 @@
 Training alternates refinement and parameter updates: each epoch the current
 imputations pass through attention, the composite loss is evaluated on the
 merged matrix, and the attention parameters take one Adam step.  Refined
-imputations are carried into the next epoch.  The gradient recomputes the
-attention weights row block by row block (``attention_backward``), so no
-epoch holds an n x n array.
+imputations are carried into the next epoch.  Each epoch runs the attention
+forward once; it returns the output and one log-normalizer per row, and the
+gradient (``attention_backward``) rebuilds the weights from them row block
+by row block, with one product and one exp per block.  No epoch holds an
+n x n array: the forward reuses one (256, n) buffer and the backward two.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def _ml_cov(m: np.ndarray) -> np.ndarray:
 
 
 def _merged_output(state: LossState) -> np.ndarray:
-    output = attention_forward(state.x, state.params)
+    output, _ = attention_forward(state.x, state.params)
     return np.where(state.replace_mask, output, state.x)
 
 
@@ -174,14 +176,18 @@ def loss_from_state(state: LossState) -> LossParts:
     )
 
 
-def grad_composite(state: LossState, output: np.ndarray) -> GradientSet:
+def grad_composite(state: LossState, output: np.ndarray, lse: np.ndarray) -> GradientSet:
     """Analytic gradient of the composite loss w.r.t. wq, wk, wv.
 
-    ``output`` is what ``attention_forward`` returned for ``state.x`` and
-    ``state.params``.  Backpropagates through the merge and the covariance
+    ``output`` and ``lse`` are what ``attention_forward`` returned for
+    ``state.x`` and ``state.params``: the attention output and each row's
+    log-normalizer.  Backpropagates through the merge and the covariance
     Frobenius norm to the attention output, then through the attention by
-    ``attention_backward``, which recomputes the weights block by block;
-    the L1 term contributes gamma * sign(theta) (0 at 0).
+    ``attention_backward``.  Per 256-row block it rebuilds the weights as
+    ``exp([q, -lse] @ [k, 1]^T)`` in one buffer and the score gradient as
+    ``a * ([g_y, -D] @ [v, 1]^T)`` in a second, with
+    ``D = rowsum(g_y * output)``: two products, one exp and one multiply,
+    and no softmax.  The L1 term contributes gamma * sign(theta) (0 at 0).
     """
     x = np.asarray(state.x, dtype=np.float64)
     p = state.params
@@ -208,7 +214,7 @@ def grad_composite(state: LossState, output: np.ndarray) -> GradientSet:
 
     g_y = np.where(state.replace_mask, g_merged, 0.0)
 
-    a_wq, a_wk, a_wv = attention_backward(x, p, g_y)
+    a_wq, a_wk, a_wv = attention_backward(x, p, g_y, output, lse)
     d_wq = a_wq + w.gamma * np.sign(p.wq)
     d_wk = a_wk + w.gamma * np.sign(p.wk)
     d_wv = a_wv + w.gamma * np.sign(p.wv)
@@ -313,8 +319,7 @@ class TrainResult(NamedTuple):
 def _self_mask_matrix(ds: Dataset, rate: float, seed: int) -> np.ndarray:
     plan = plan_mcar((ds.n, ds.d), rate, seed, eligible=np.asarray(ds.mask))
     out = np.zeros((ds.n, ds.d), dtype=bool)
-    for i, j in plan.cells:
-        out[i, j] = True
+    out[plan.index()] = True
     return out
 
 
@@ -384,7 +389,7 @@ def train(
             weights=w,
             ref_cov=ref_cov,
         )
-        output = attention_forward(x_in, params)
+        output, lse = attention_forward(x_in, params)
         merged = np.where(replace, output, x_in)
         parts = composite_loss(
             merged, reference, eval_mask, params, w, ref_cov=ref_cov
@@ -394,7 +399,7 @@ def train(
                 raise NumericalError(f"non-finite {name} loss at epoch {epoch}")
         history.append(EpochRecord(epoch, *parts))
 
-        grads = grad_composite(state, output)
+        grads = grad_composite(state, output, lse)
         params, adam = adam_step(params, grads, adam, cfg.lr, epoch)
 
         # Refined imputations (pre-update parameters) carry into next epoch.
@@ -499,7 +504,7 @@ def impute(
 
     result = train(norm, filled, truth_norm, cfg, w)
 
-    final_output = attention_forward(result.refined.values, result.params)
+    final_output, _ = attention_forward(result.refined.values, result.params)
     final_norm = np.where(provenance, final_output, norm.values)
     final_ds = norm.with_values(final_norm)
     restored = denormalize(final_ds)

@@ -141,7 +141,7 @@ def test_criterion_03_analytic_gradient_matches_finite_differences(capsys):
             replace_mask=replace,
             weights=LossWeights(alpha=1.0, beta=0.1, gamma=1e-3),
         )
-        analytic = grad_composite(state, attention_forward(x, state.params))
+        analytic = grad_composite(state, *attention_forward(x, state.params))
         numeric = finite_diff_grad(state, h=1e-5)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(np.abs(f), 1e-8)

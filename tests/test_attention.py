@@ -39,6 +39,13 @@ def _dense_weights(x, p):
     return softmax_rows((x @ p.wq) @ (x @ p.wk).T / np.sqrt(p.dk))
 
 
+def _dense_lse(x, p):
+    """log sum_j exp(score_ij) per row, from the full n x n scores."""
+    s = (x @ p.wq) @ (x @ p.wk).T / np.sqrt(p.dk)
+    row_max = s.max(axis=1)
+    return row_max + np.log(np.exp(s - row_max[:, None]).sum(axis=1))
+
+
 def _dense_backward(x, p, g_y):
     a = _dense_weights(x, p)
     q, k, v = x @ p.wq, x @ p.wk, x @ p.wv
@@ -82,7 +89,7 @@ def test_forward_two_row_worked_example():
     # so row 0 averages and row 1 weights by softmax([0, 1]).
     x = np.array([[0.0], [1.0]])
     p = AttentionParams(wq=np.eye(1), wk=np.eye(1), wv=np.eye(1))
-    output = attention_forward(x, p)
+    output, _ = attention_forward(x, p)
     np.testing.assert_allclose(
         _dense_weights(x, p),
         [[0.5, 0.5], [1.0 - SIGMOID_1, SIGMOID_1]],
@@ -95,7 +102,7 @@ def test_forward_weights_are_row_stochastic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 5))
     p = init_params(5, seed=11)
-    output = attention_forward(x, p)
+    output, _ = attention_forward(x, p)
     weights = _dense_weights(x, p)
     assert weights.shape == (40, 40)
     np.testing.assert_allclose(weights.sum(axis=1), np.ones(40), atol=1e-10)
@@ -107,7 +114,7 @@ def test_forward_output_inside_value_hull():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(25, 4))
     p = init_params(4, seed=2)
-    output = attention_forward(x, p)
+    output, _ = attention_forward(x, p)
     v = x @ p.wv
     lo = v.min(axis=0) - 1e-12
     hi = v.max(axis=0) + 1e-12
@@ -119,8 +126,8 @@ def test_forward_is_row_permutation_equivariant():
     x = rng.normal(size=(17, 3))
     p = init_params(3, seed=8)
     perm = rng.permutation(17)
-    base = attention_forward(x, p)
-    permuted = attention_forward(x[perm], p)
+    base, _ = attention_forward(x, p)
+    permuted, _ = attention_forward(x[perm], p)
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -139,8 +146,11 @@ def test_row_blocks_match_dense_attention(n, d, seed):
     g_y = rng.normal(size=(n, d))
     p = init_params(d, seed=seed)
     want = _dense_weights(x, p) @ (x @ p.wv)
-    np.testing.assert_allclose(attention_forward(x, p), want, rtol=0, atol=1e-12)
-    for got, dense in zip(attention_backward(x, p, g_y), _dense_backward(x, p, g_y)):
+    output, lse = attention_forward(x, p)
+    np.testing.assert_allclose(output, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lse, _dense_lse(x, p), rtol=1e-12, atol=0)
+    backward = attention_backward(x, p, g_y, output, lse)
+    for got, dense in zip(backward, _dense_backward(x, p, g_y)):
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
 
@@ -160,7 +170,7 @@ def test_forward_rejects_mismatched_width():
 @settings(max_examples=40, deadline=None)
 def test_forward_output_always_finite(x):
     p = init_params(x.shape[1], seed=13)
-    output = attention_forward(x, p)
+    output, _ = attention_forward(x, p)
     assert np.isfinite(output).all()
     assert np.isfinite(_dense_weights(x, p)).all()
 

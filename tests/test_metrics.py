@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
 from semimpute.metrics import (
     EXACT_WILCOXON_MAX_N,
+    _mean_ci_t,
     effect_size,
     evaluate,
     mape,
@@ -134,6 +137,36 @@ def test_wilcoxon_ci_matches_t_interval():
     half = float(t_dist.ppf(0.975, 2)) * pred.std(ddof=1) / math.sqrt(3)
     assert result.ci_lower == pytest.approx(2.0 - half, abs=1e-12)
     assert result.ci_upper == pytest.approx(2.0 + half, abs=1e-12)
+
+
+def test_mean_ci_quantile_is_bit_identical_to_t_ppf():
+    rng = np.random.default_rng(8)
+    for n in [*range(2, 120), 257, 1000, 4801, 100_000]:
+        pred = rng.normal(size=n)
+        m, s = float(pred.mean()), float(pred.std(ddof=1))
+        half = float(t_dist.ppf(0.975, n - 1)) * s / math.sqrt(n)
+        assert _mean_ci_t(pred) == (m - half, m + half), n
+
+
+_NO_STATS_PROBE = """
+import sys
+from semimpute.metrics import wilcoxon_signed_rank
+result = wilcoxon_signed_rank([1.0, 2.0, 3.5, 0.25], [0.0, 0.5, 1.0, 1.0])
+assert result.ci_lower < result.ci_upper, result
+print(sorted(m for m in ("scipy.special", "scipy.stats") if m in sys.modules))
+"""
+
+
+def test_wilcoxon_does_not_import_scipy_stats(tmp_path, child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_STATS_PROBE],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.special']"
 
 
 def _brute_force_two_sided_p(diffs):

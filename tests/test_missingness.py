@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from semimpute.dataset import MISSING_SENTINEL
 from semimpute.errors import InputError
 from semimpute.missingness import apply_mcar, plan_mcar
+from semimpute.rng import choose_without_replacement
 
 
 def test_count_rounds_half_up():
@@ -79,3 +80,48 @@ def test_per_column_fraction_is_hypergeometric(seed):
     var = k * (n / total) * (1 - n / total) * (total - k) / (total - 1)
     bound = 4.0 * math.sqrt(var)
     assert np.all(np.abs(counts - mean) <= bound + 1e-9), counts
+
+
+def _plan_cells_oracle(shape, rate, seed, columns, eligible):
+    """Row-major scope enumeration by loops, then the same seeded draw."""
+    n, d = shape
+    colset = set(range(d)) if columns is None else set(columns)
+    pool = [
+        (i, j)
+        for i in range(n)
+        for j in range(d)
+        if j in colset and (eligible is None or eligible[i, j])
+    ]
+    count = int(np.floor(rate * len(pool) + 0.5))
+    return tuple(pool[t] for t in choose_without_replacement(len(pool), count, seed))
+
+
+@st.composite
+def _plan_inputs(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 7))
+    rate = draw(st.floats(0.0, 0.999))
+    seed = draw(st.integers(0, 2**64 - 1))
+    columns = draw(st.none() | st.lists(st.integers(0, d - 1), max_size=d + 2))
+    eligible = draw(st.none() | st.integers(0, 2**32 - 1).map(
+        lambda s: np.random.default_rng(s).random((n, d)) < 0.7
+    ))
+    return (n, d), rate, seed, columns, eligible
+
+
+@given(_plan_inputs())
+@settings(max_examples=60, deadline=None)
+def test_plan_matches_loop_oracle(inputs):
+    shape, rate, seed, columns, eligible = inputs
+    plan = plan_mcar(shape, rate, seed, columns=columns, eligible=eligible)
+    want = _plan_cells_oracle(shape, rate, seed, columns, eligible)
+    assert plan.cells == want
+    assert all(type(i) is int and type(j) is int for i, j in plan.cells)
+    hidden = np.zeros(shape, dtype=bool)
+    hidden[plan.index()] = True
+    assert set(zip(*np.nonzero(hidden))) == set(want)
+
+
+def test_eligible_must_match_shape():
+    with pytest.raises(InputError, match="eligible"):
+        plan_mcar((4, 3), 0.5, seed=0, eligible=np.ones(3, dtype=bool))
