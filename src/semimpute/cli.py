@@ -26,7 +26,7 @@ from .dataset import (
 )
 from .errors import InputError, NumericalError, SemimputeError
 from .fiml import EmConfig
-from .metrics import EvaluationReport, evaluate, report_to_csv, report_to_dict
+from .metrics import EvaluationReport, csv_text, evaluate, report_to_csv, report_to_dict
 from .missingness import apply_mcar
 from .notears import NotearsConfig, notears_fit, suggest_spec, threshold_dag
 from .rng import derive_seed
@@ -39,22 +39,27 @@ from .training import (
     impute,
 )
 
+# Defaults of the flags that ``_train_flags`` gives impute and evaluate.
+TRAIN_DEFAULTS: dict = {
+    "alpha": 1.0,
+    "beta": 0.1,
+    "gamma": 1e-3,
+    "lr": 1e-3,
+    "epochs": 500,
+    "tol": 1e-5,
+    "self_mask_rate": 0.1,
+    "seed": 0,
+    "em_max_iter": 500,
+    "em_tol": 1e-6,
+    "init_moments": "implied",
+}
+
 DEFAULTS: dict[str, dict] = {
     "impute": {
         "sem": None,
         "truth": None,
         "mode": MODE_SELF_SUPERVISED,
-        "alpha": 1.0,
-        "beta": 0.1,
-        "gamma": 1e-3,
-        "lr": 1e-3,
-        "epochs": 500,
-        "tol": 1e-5,
-        "self_mask_rate": 0.1,
-        "seed": 0,
-        "em_max_iter": 500,
-        "em_tol": 1e-6,
-        "init_moments": "implied",
+        **TRAIN_DEFAULTS,
         "lenient": False,
     },
     "evaluate": {
@@ -64,17 +69,7 @@ DEFAULTS: dict[str, dict] = {
         "trials": 1,
         "knn_k": 5,
         "mode": MODE_BENCHMARK,
-        "alpha": 1.0,
-        "beta": 0.1,
-        "gamma": 1e-3,
-        "lr": 1e-3,
-        "epochs": 500,
-        "tol": 1e-5,
-        "self_mask_rate": 0.1,
-        "seed": 0,
-        "em_max_iter": 500,
-        "em_tol": 1e-6,
-        "init_moments": "implied",
+        **TRAIN_DEFAULTS,
         "report_format": "json",
         "lenient": False,
     },
@@ -85,7 +80,6 @@ DEFAULTS: dict[str, dict] = {
         "inner_lr": 1e-2,
         "inner_steps": 500,
         "suggest_outcome": None,
-        "seed": 0,
         "lenient": False,
     },
     "simulate": {
@@ -160,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-lr", type=float)
     p.add_argument("--inner-steps", type=int)
     p.add_argument("--suggest-outcome", help="emit a model file for this variable")
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("simulate", help="hide an exact fraction of observed cells")
     common(p)
@@ -395,8 +388,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         seeds.append(seed)
         masked, plan = apply_mcar(truth_enc, cfg["rate"], seed)
         eval_mask = np.zeros(truth_enc.values.shape, dtype=bool)
-        for i, j in plan.cells:
-            eval_mask[i, j] = True
+        eval_mask[plan.index()] = True
         imputed, extra = _run_method(cfg, method, masked, truth_enc, seed)
         meta = {
             "method": method,
@@ -472,39 +464,11 @@ def _mean_of_trials(reports: list[EvaluationReport]) -> dict:
 
 def _mean_csv(reports: list[EvaluationReport]) -> str:
     mean = _mean_of_trials(reports)
-    header = "variable,rmse,mape_pct,r2,wasserstein,wilcoxon_statistic,wilcoxon_p,effect_size"
-    lines = [header]
-    for v in mean["per_variable"]:
-        lines.append(
-            ",".join(
-                [
-                    v["name"],
-                    repr(v["rmse"]),
-                    repr(v["mape_pct"]),
-                    repr(v["r2"]),
-                    repr(v["wasserstein"]),
-                    repr(v["wilcoxon_statistic"]),
-                    repr(v["wilcoxon_p"]),
-                    repr(v["effect_size"]),
-                ]
-            )
-        )
+    header = "variable rmse mape_pct r2 wasserstein wilcoxon_statistic wilcoxon_p effect_size".split()
+    rows = [[v[key] for key in ("name", *header[1:])] for v in mean["per_variable"]]
     agg = mean["aggregate"]
-    lines.append(
-        ",".join(
-            [
-                "AGGREGATE",
-                repr(agg["rmse"]),
-                repr(agg["mape_pct"]),
-                repr(agg["r2"]),
-                repr(agg["wasserstein"]),
-                "",
-                "",
-                "",
-            ]
-        )
-    )
-    return "\n".join(lines) + "\n"
+    rows.append(["AGGREGATE", *(agg[key] for key in header[1:5]), None, None, None])
+    return csv_text(header, rows)
 
 
 def _spec_to_text(spec: SemSpec) -> str:

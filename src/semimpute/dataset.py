@@ -378,12 +378,11 @@ def snap_ordinals(ds: Dataset, cells: np.ndarray) -> Dataset:
     return ds.with_values(values)
 
 
-def save_csv(ds: Dataset, path, *, labels: bool = True) -> None:
+def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV; missing cells become empty fields.
 
-    Observed ordinal cells are emitted as level labels when ``labels`` is
-    true and the stored value is a valid index; floats use ``repr`` so the
-    round-trip is exact.
+    Observed ordinal cells are emitted as level labels when the stored value
+    is a valid index; floats use ``repr`` so the round-trip is exact.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -395,7 +394,7 @@ def save_csv(ds: Dataset, path, *, labels: bool = True) -> None:
                     row.append("")
                     continue
                 x = float(ds.values[i, j])
-                if labels and spec.kind == ORDINAL:
+                if spec.kind == ORDINAL:
                     idx = int(round(x))
                     if abs(x - idx) <= 1e-9 and 0 <= idx < spec.n_levels:
                         row.append(spec.levels[idx])

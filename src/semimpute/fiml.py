@@ -23,13 +23,17 @@ import numpy as np
 
 from .dataset import Dataset, pairwise_stats
 from .errors import InputError, NumericalError
-from .linalg import INNER_CHUNK, ordered_matmul
+from .linalg import INNER_CHUNK, ensure_pd, ordered_matmul, ridged_cholesky
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Log-likelihood is asserted monotone up to this slack (floating-point noise
-# in the per-pattern solves).
+# in the batched per-count solves).
 MONOTONE_SLACK = 1e-8
+
+# Diagonal ridge for a covariance, or an observed block of one, that
+# Cholesky rejects.
+RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,12 @@ class MvnParams:
 class EmConfig:
     max_iter: int = 500
     tol: float = 1e-6
-    ridge: float = 1e-6
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if self.tol <= 0:
             raise InputError("tol must be positive")
-        if self.ridge < 0:
-            raise InputError("ridge must be non-negative")
 
 
 class EmResult(NamedTuple):
@@ -93,34 +94,18 @@ class EStep(NamedTuple):
     warnings: list[str]
 
 
-def _chol_with_ridge(sigma: np.ndarray, ridge: float, warnings: list[str], label: str):
-    """Cholesky factor of sigma, or of a stack of them, retrying once with a diagonal ridge."""
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    if ridge > 0:
-        try:
-            chol = np.linalg.cholesky(sigma + ridge * np.eye(sigma.shape[-1]))
-            warnings.append(f"ridge {ridge} added to {label} for factorization")
-            return chol
-        except np.linalg.LinAlgError:
-            pass
-    raise NumericalError(f"{label} is not positive definite even after ridge")
-
-
 def loglik_observed(params: MvnParams, ds: Dataset) -> float:
-    value, _ = _loglik_observed(params, ds, ridge=1e-6)
+    value, _ = _loglik_observed(params, ds)
     return value
 
 
-def _loglik_observed(params: MvnParams, ds: Dataset, ridge: float):
+def _loglik_observed(params: MvnParams, ds: Dataset):
     """Sum of log N(x_obs; mu_obs, sigma_obs,obs) over rows, with its warnings."""
-    step = _estep(params.mu, params.sigma, ds, ridge)
+    step = _estep(params.mu, params.sigma, ds)
     return step.loglik, step.warnings
 
 
-def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, ridge: float) -> EStep:
+def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset) -> EStep:
     """Log-likelihood, conditional-mean fill and covariance correction.
 
     Rows are grouped by their number k of observed cells.  Complete rows
@@ -145,7 +130,7 @@ def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, ridge: float) -> ESte
             filled[rows] = mu
             correction += rows.size * sigma.ravel()
         elif k == d:
-            chol = _chol_with_ridge(sigma, ridge, warnings, "pattern submatrix")
+            _, chol = ridged_cholesky(sigma, RIDGE, warnings, "pattern submatrix for factorization")
             logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
             z = np.linalg.solve(chol, (ds.values[rows] - mu).T)
             quad = np.sum(z * z, axis=0)
@@ -153,11 +138,11 @@ def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, ridge: float) -> ESte
         else:
             for start in range(0, rows.size, INNER_CHUNK):
                 block = rows[start : start + INNER_CHUNK]
-                total += _estep_block(block, k, mu, sigma, ds, ridge, filled, correction, warnings)
+                total += _estep_block(block, k, mu, sigma, ds, filled, correction, warnings)
     return EStep(total, filled, correction.reshape(d, d), warnings)
 
 
-def _estep_block(rows, k, mu, sigma, ds, ridge, filled, correction, warnings) -> float:
+def _estep_block(rows, k, mu, sigma, ds, filled, correction, warnings) -> float:
     """E-step of rows that each have k observed cells; returns their log-likelihood.
 
     With L the Cholesky factor of sigma_oo, one batched solve of L against
@@ -170,7 +155,8 @@ def _estep_block(rows, k, mu, sigma, ds, ridge, filled, correction, warnings) ->
     o, m = cols[:, :k], cols[:, k:]
     resid = ds.values[rows[:, None], o] - mu[o]
     rhs = np.concatenate((resid[:, :, None], sigma[o[:, :, None], m[:, None, :]]), axis=2)
-    chol = _chol_with_ridge(sigma[o[:, :, None], o[:, None, :]], ridge, warnings, "pattern submatrix")
+    sigma_oo = sigma[o[:, :, None], o[:, None, :]]
+    _, chol = ridged_cholesky(sigma_oo, RIDGE, warnings, "pattern submatrix for factorization")
     solved = np.linalg.solve(chol, rhs)
     z, w = solved[:, :, 0], solved[:, :, 1:]
     w_t = w.transpose(0, 2, 1)
@@ -206,23 +192,23 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
         start = pairwise_stats(ds)
         warnings.extend(start.warnings)
         mu = start.mean.copy()
-        sigma = _ensure_pd(0.5 * (start.cov + start.cov.T), cfg.ridge, warnings)
+        sigma = ensure_pd(0.5 * (start.cov + start.cov.T), RIDGE, warnings)
     else:
         mu = init.mu.copy()
-        sigma = _ensure_pd(init.sigma.copy(), cfg.ridge, warnings)
+        sigma = ensure_pd(init.sigma.copy(), RIDGE, warnings)
 
-    step = _estep(mu, sigma, ds, cfg.ridge)
+    step = _estep(mu, sigma, ds)
     warnings.extend(step.warnings)
     history = [step.loglik]
     stopped = "max_iter"
     iterations = 0
     for iteration in range(1, cfg.max_iter + 1):
         iterations = iteration
-        mu, sigma = _mstep(step, n, cfg.ridge, warnings)
+        mu, sigma = _mstep(step, n, warnings)
         prev_ll = step.loglik
         # Free the last fill before the next E-step allocates its own.
         del step
-        step = _estep(mu, sigma, ds, cfg.ridge)
+        step = _estep(mu, sigma, ds)
         # Later E-steps repeat the first one's messages; keep only new ones.
         warnings.extend(w for w in dict.fromkeys(step.warnings) if w not in warnings)
         ll = step.loglik
@@ -243,41 +229,12 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
     )
 
 
-def _mstep(step: EStep, n: int, ridge: float, warnings: list[str]):
+def _mstep(step: EStep, n: int, warnings: list[str]):
     """ML mean and covariance (denominator n) of the filled data plus the correction."""
     mu = step.filled.mean(axis=0)
     centered = step.filled - mu
     sigma = (ordered_matmul(centered.T, centered) + step.correction) / n
-    return mu, _ensure_pd(0.5 * (sigma + sigma.T), ridge, warnings)
-
-
-def _ensure_pd(sigma: np.ndarray, ridge: float, warnings: list[str] | None = None):
-    try:
-        np.linalg.cholesky(sigma)
-        return sigma
-    except np.linalg.LinAlgError:
-        pass
-    if warnings is not None:
-        warnings.append(f"ridge {ridge} added to covariance diagonal")
-    out = sigma + max(ridge, 1e-12) * np.eye(sigma.shape[0])
-    try:
-        np.linalg.cholesky(out)
-        return out
-    except np.linalg.LinAlgError:
-        pass
-    # Pairwise-complete starts can be indefinite beyond any small ridge:
-    # floor the spectrum instead.
-    if warnings is not None:
-        warnings.append("indefinite covariance; eigenvalues floored")
-    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    floor = max(ridge, 1e-12)
-    out = (vecs * np.maximum(vals, floor)) @ vecs.T
-    out = 0.5 * (out + out.T)
-    try:
-        np.linalg.cholesky(out)
-    except np.linalg.LinAlgError:
-        raise NumericalError("covariance not positive definite after repair") from None
-    return out
+    return mu, ensure_pd(0.5 * (sigma + sigma.T), RIDGE, warnings)
 
 
 def conditional_impute(params: MvnParams, ds: Dataset) -> tuple[Dataset, np.ndarray]:
@@ -287,5 +244,5 @@ def conditional_impute(params: MvnParams, ds: Dataset) -> tuple[Dataset, np.ndar
     matrix flagging exactly the filled cells.  Observed cells pass through
     bit-identical; fully-missing rows get the unconditional mean.
     """
-    step = _estep(params.mu, params.sigma, ds, ridge=1e-6)
+    step = _estep(params.mu, params.sigma, ds)
     return ds.with_values(step.filled), ~np.asarray(ds.mask)

@@ -345,41 +345,32 @@ def report_to_csv(report: EvaluationReport) -> str:
         "ci_upper",
         "n_cells",
     ]
-    lines = [",".join(header)]
-    for v in report.per_variable:
-        lines.append(
-            ",".join(
-                [
-                    v.name,
-                    repr(v.rmse),
-                    repr(v.mape_pct),
-                    repr(v.r2),
-                    repr(v.wasserstein),
-                    repr(v.wilcoxon.statistic),
-                    repr(v.wilcoxon.p_value),
-                    repr(v.wilcoxon.effect_size),
-                    repr(v.wilcoxon.ci_lower),
-                    repr(v.wilcoxon.ci_upper),
-                    str(v.n_cells),
-                ]
-            )
-        )
+    rows = [
+        [
+            v.name,
+            v.rmse,
+            v.mape_pct,
+            v.r2,
+            v.wasserstein,
+            v.wilcoxon.statistic,
+            v.wilcoxon.p_value,
+            v.wilcoxon.effect_size,
+            v.wilcoxon.ci_lower,
+            v.wilcoxon.ci_upper,
+            v.n_cells,
+        ]
+        for v in report.per_variable
+    ]
     agg = report.aggregate
-    lines.append(
-        ",".join(
-            [
-                "AGGREGATE",
-                repr(agg.rmse),
-                repr(agg.mape_pct),
-                repr(agg.r2),
-                repr(agg.wasserstein),
-                "",
-                "",
-                "",
-                "",
-                "",
-                str(sum(v.n_cells for v in report.per_variable)),
-            ]
-        )
-    )
-    return "\n".join(lines) + "\n"
+    n_cells = sum(v.n_cells for v in report.per_variable)
+    rows.append(["AGGREGATE", agg.rmse, agg.mape_pct, agg.r2, agg.wasserstein, *[None] * 5, n_cells])
+    return csv_text(header, rows)
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV lines of a header and rows: text as is, None empty, numbers by ``repr``."""
+
+    def cell(x) -> str:
+        return "" if x is None else x if isinstance(x, str) else repr(x)
+
+    return "".join(",".join(map(cell, line)) + "\n" for line in [header, *rows])

@@ -13,12 +13,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError, NumericalError, SpecError
-from .linalg import ordered_matmul
+from .linalg import adam_update, ordered_matmul
 from .sem import Equation, SemSpec
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 
 # Acyclicity tolerance used when verifying an already-thresholded graph.
 DAG_TOL = 1e-12
@@ -129,11 +125,7 @@ def _inner_minimize(
     for t in range(1, cfg.inner_steps + 1):
         h_val, h_grad = acyclicity_h(w)
         grad = g_gram @ (w - eye) + (rho * h_val + alpha) * h_grad
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        w = w - cfg.inner_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        w, m, v = adam_update(w, grad, m, v, cfg.inner_lr, t)
         w = np.sign(w) * np.maximum(np.abs(w) - shrink, 0.0)
         np.fill_diagonal(w, 0.0)
     return w

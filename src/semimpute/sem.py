@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import NumericalError, ParseError, SpecError
 from .fiml import EmConfig, MvnParams, em_fit, loglik_observed
-from .linalg import nearest_pd
+from .linalg import ensure_pd
 
 PSI_FLOOR = 1e-12
 
@@ -235,7 +235,7 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
         endogenous=endo,
     )
     mu_i, sigma_i = implied_moments(model)
-    ll = loglik_observed(MvnParams(mu_i, nearest_pd(sigma_i)), ds)
+    ll = loglik_observed(MvnParams(mu_i, ensure_pd(sigma_i, 1e-10)), ds)
     return SemFit(
         model=model,
         params=res.params,
@@ -247,7 +247,7 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
     )
 
 
-def fit_baseline(ds: Dataset, cfg: EmConfig = EmConfig()) -> tuple[MvnParams, float]:
+def fit_baseline(ds: Dataset) -> tuple[MvnParams, float]:
     """Independence model: per-column observed-cell ML mean and variance.
 
     With a diagonal covariance the observed-data likelihood factorizes per

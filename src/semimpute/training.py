@@ -31,9 +31,7 @@ from .dataset import (
 )
 from .errors import InputError, NumericalError
 from .fiml import EmConfig, MvnParams, conditional_impute, em_fit
-# bench/reference.py imports the helper under this module-private name.
-from .linalg import nearest_pd as _nearest_pd
-from .linalg import ordered_matmul
+from .linalg import adam_update, ensure_pd, ordered_matmul
 from .missingness import plan_mcar
 from .rng import derive_seed
 from .sem import SemSpec, fit_paths_fiml, implied_moments
@@ -44,6 +42,11 @@ MODE_SELF_SUPERVISED = "self_supervised"
 # Convergence is judged on the total loss across a window this many epochs
 # wide; shorter histories never terminate early.
 CONVERGENCE_WINDOW = 10
+
+
+def _nearest_pd(sigma: np.ndarray) -> np.ndarray:
+    """An implied covariance made Cholesky-valid; bench/reference.py imports it under this name."""
+    return ensure_pd(sigma, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -277,11 +280,6 @@ class AdamState:
         )
 
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
-
 def adam_step(
     params: AttentionParams,
     grads: GradientSet,
@@ -293,16 +291,9 @@ def adam_step(
     if t < 1:
         raise InputError("Adam step counter t must be at least 1")
 
-    def update(theta, g, m, v):
-        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m_new / (1.0 - ADAM_BETA1**t)
-        v_hat = v_new / (1.0 - ADAM_BETA2**t)
-        return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m_new, v_new
-
-    wq, m_wq, v_wq = update(params.wq, grads.d_wq, state.m_wq, state.v_wq)
-    wk, m_wk, v_wk = update(params.wk, grads.d_wk, state.m_wk, state.v_wk)
-    wv, m_wv, v_wv = update(params.wv, grads.d_wv, state.m_wv, state.v_wv)
+    wq, m_wq, v_wq = adam_update(params.wq, grads.d_wq, state.m_wq, state.v_wq, lr, t)
+    wk, m_wk, v_wk = adam_update(params.wk, grads.d_wk, state.m_wk, state.v_wk, lr, t)
+    wv, m_wv, v_wv = adam_update(params.wv, grads.d_wv, state.m_wv, state.v_wv, lr, t)
     return (
         AttentionParams(wq=wq, wk=wk, wv=wv),
         AdamState(m_wq=m_wq, v_wq=v_wq, m_wk=m_wk, v_wk=v_wk, m_wv=m_wv, v_wv=v_wv),

@@ -279,6 +279,42 @@ def test_evaluate_multiple_trials_aggregates(tmp_path, bivariate):
         assert trial["report"]["metadata"]["trial"] == t
 
 
+def test_evaluate_multiple_trials_csv_bytes(tmp_path, bivariate):
+    variables, csv = bivariate
+    prefix = str(tmp_path / "evm")
+    assert run(
+        [
+            "evaluate",
+            "--variables", variables,
+            "--truth", csv,
+            "--method", "mean",
+            "--rate", "0.3",
+            "--trials", "2",
+            "--seed", "5",
+            "--report-format", "csv",
+            "--out-prefix", prefix,
+        ]
+    ) == 0
+    assert _read(f"{prefix}.report.csv").decode() == (
+        "variable,rmse,mape_pct,r2,wasserstein,wilcoxon_statistic,wilcoxon_p,effect_size\n"
+        "x,0.8915580686577409,119.46001315517402,-0.1460986801107883,0.6559194156639929,"
+        "101.0,0.166656494140625,14.28355697996826\n"
+        "y,0.8576438226613305,119.83900956582644,-0.25758382118677914,0.7420054325809327,"
+        "72.5,0.142333984375,10.253048327204938\n"
+        "AGGREGATE,0.8746009456595357,119.64951136050024,-0.20184125064878372,0.6989624241224628,,,\n"
+    )
+    assert _read(f"{prefix}.trial1.report.csv").decode() == (
+        "variable,rmse,mape_pct,r2,wasserstein,wilcoxon_statistic,wilcoxon_p,effect_size,"
+        "ci_lower,ci_upper,n_cells\n"
+        "x,0.7669933694862525,120.9048808940876,-0.16695510158269933,0.5618343750000001,"
+        "96.0,0.1590576171875,13.576450198781712,0.221832,0.221832,16\n"
+        "y,1.1036452158074042,118.97103041269523,-0.09900308273247882,0.9655364285714285,"
+        "73.0,0.216552734375,10.323759005323593,0.215865,0.215865,14\n"
+        "AGGREGATE,0.9353192926468283,119.93795565339141,-0.13297909215758907,0.7636854017857143,"
+        ",,,,,30\n"
+    )
+
+
 def test_evaluate_sesa_small_run(tmp_path, bivariate):
     variables, csv = bivariate
     prefix = str(tmp_path / "evs")

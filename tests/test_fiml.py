@@ -126,6 +126,24 @@ def test_singular_sigma_raises_after_ridge_retry():
     assert np.isfinite(filled.values).all()
 
 
+def test_em_floors_an_indefinite_pairwise_start():
+    # Three row groups each observe one pair of columns, correlated +0.9,
+    # +0.9 and -0.9: no covariance matrix has those correlations, so the
+    # pairwise-complete start is indefinite.
+    rng = np.random.default_rng(3)
+    n = 60
+    values = np.zeros((3 * n, 3))
+    mask = np.zeros((3 * n, 3), dtype=bool)
+    for g, ((a, b), r) in enumerate((((0, 1), 0.9), ((1, 2), 0.9), ((0, 2), -0.9))):
+        rows = slice(g * n, (g + 1) * n)
+        values[rows, [a, b]] = rng.multivariate_normal([0.0, 0.0], [[1.0, r], [r, 1.0]], size=n)
+        mask[rows, [a, b]] = True
+    res = em_fit(_dataset(values, mask))
+    assert res.warnings == ["indefinite covariance; eigenvalues floored"]
+    np.linalg.cholesky(res.params.sigma)
+    assert np.all(np.diff(res.history) >= -MONOTONE_SLACK)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_em_monotonicity_holds_on_random_problems(seed):
@@ -212,7 +230,7 @@ def _check_estep_against_oracle(seed, n, d, rate):
     mask[1] = False
     mask[2] = np.arange(d) == rng.integers(d)
     ds = _dataset(values, mask)
-    step = _estep(mu, sigma, ds, ridge=1e-6)
+    step = _estep(mu, sigma, ds)
     ll, filled, correction = _oracle_estep(mu, sigma, values, mask)
     assert np.isfinite(step.loglik)
     assert np.isfinite(step.filled).all() and np.isfinite(step.correction).all()

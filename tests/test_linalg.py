@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semimpute.linalg import INNER_CHUNK, nearest_pd, ordered_matmul
+from semimpute.linalg import INNER_CHUNK, ensure_pd, ordered_matmul
 
 
 @pytest.mark.parametrize("inner", [1, INNER_CHUNK, INNER_CHUNK + 1, 600])
@@ -29,8 +29,20 @@ def test_ordered_matmul_adds_chunks_in_order():
     assert np.array_equal(ordered_matmul(a, b), want)
 
 
-def test_nearest_pd_keeps_pd_input_and_adds_ridge_otherwise():
+def test_ensure_pd_keeps_pd_input_ridges_singular_and_floors_indefinite():
     pd = np.array([[2.0, 0.5], [0.5, 1.0]])
-    assert nearest_pd(pd) is pd
+    warnings = []
+    assert ensure_pd(pd, 1e-10, warnings) is pd
+    assert warnings == []
+
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(ensure_pd(singular, 1e-10, warnings), singular + 1e-10 * np.eye(2))
+    assert warnings == ["ridge 1e-10 added to covariance diagonal"]
+
+    # Eigenvalues 3 and -1: no small ridge helps, so -1 is floored at the ridge.
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-    np.testing.assert_array_equal(nearest_pd(indefinite), indefinite + 1e-10 * np.eye(2))
+    warnings = []
+    floored = ensure_pd(indefinite, 1e-10, warnings)
+    np.linalg.cholesky(floored)
+    np.testing.assert_allclose(np.linalg.eigvalsh(floored), [1e-10, 3.0], rtol=0, atol=1e-12)
+    assert warnings == ["indefinite covariance; eigenvalues floored"]
