@@ -3,19 +3,29 @@
 Each imputed row is rewritten as a convex combination of (projected) rows of
 the current matrix, so similar records inform each other's missing cells.
 The n x n attention weights are never formed whole: forward and backward
-work through blocks of ``INNER_CHUNK`` rows of scores, one reused
-(INNER_CHUNK, n) buffer in the forward and two in the backward.  Memory
-grows as n * INNER_CHUNK; time still grows as n squared.
+work through blocks of ``ROW_BLOCK`` rows of scores, one reused
+(ROW_BLOCK, n) buffer in the forward and two in the backward.  Memory
+grows as n * ROW_BLOCK; time still grows as n squared, and what costs is
+the number of passes over each (ROW_BLOCK, n) block.
 
-The 1/sqrt(k) score scale is folded into q.  The forward returns the
-output and one log-normalizer per row, ``lse = log sum_j exp(score_ij)``,
-an n-vector.  Per block it takes one product for the scores, the
-finiteness check, the row max, an in-place shift and exp, the row sum and
-one product with the values; the row sums divide the (rows, d) product,
-never the (rows, n) weights.  The backward rebuilds each block's weights
-as ``exp([q, -lse] @ [k, 1]^T)``, one product and one exp, and the score
-gradient as ``a * ([g_y, -D] @ [v, 1]^T)`` with ``D = rowsum(g_y * output)``,
-one product and one multiply; this is the FlashAttention-2 form (Dao 2023).
+The 1/sqrt(k) score scale is folded into q, and the value map is applied
+after the weights: the output is ``(a @ x) @ wv``.  The forward shifts row
+i by the bound ``c_i = |q_i| max_j |k_j|`` instead of its row max, folded
+into the score product as ``exp([q, -c] @ [k, 1]^T)``, so no score exceeds
+the shift and no check or max is needed; one product with ``[x, 1]`` then
+gives ``a @ x`` and the row sums.  That is three passes per block: product,
+exp, product.  A block with a bound past ``SHIFT_LIMIT`` or not finite
+takes the exact path instead (finiteness check, row max, shift).  The
+forward returns the output, one log-normalizer per row, ``lse = log sum_j
+exp(score_ij)``, and ``a @ x``.
+
+The backward rebuilds each block's weights as ``exp([q, -lse] @ [k, 1]^T)``
+(one product, one exp) and the score gradient as ``a * ([g_y wv^T, -D] @
+[x, 1]^T)`` with ``D = rowsum((g_y wv^T) * (a @ x))`` (one product, one
+multiply); this is the FlashAttention-2 form (Dao 2023).  A fifth pass
+contracts the score gradient with x, ``d_s @ x``, and the parameter
+gradients follow from that after the loop, so the blocks hold no sums over
+rows and no k x n accumulators.
 """
 
 from __future__ import annotations
@@ -25,8 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import INNER_CHUNK, ordered_matmul
+from .linalg import ordered_matmul
 from .rng import SplitMix64
+
+# Rows of scores per block.  No sum over rows runs inside a block, so the
+# size is free: 64 and 128 timed alike and beat 32 and 256, and with
+# OpenBLAS 0.3.31 at 1 and 2 threads 64 kept the bytes at 300 and 600 rows
+# by 6 and 22 columns, where 128 and 256 did not.
+ROW_BLOCK = 64
+# Rows whose bound c = |q_i| max_j |k_j| is at most this are shifted by it:
+# by Cauchy-Schwarz every score lies in [-c, c], so exp(score - c) lies in
+# [exp(-2c), 1] and stays a normal double.  Larger or non-finite bounds
+# take the row max.
+SHIFT_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -104,76 +125,85 @@ def _project(x: np.ndarray, p: AttentionParams):
     if x.ndim != 2 or x.shape[1] != p.d:
         raise InputError(f"input must be n x {p.d}")
     scale = 1.0 / np.sqrt(float(p.dk))
-    return x, (x @ p.wq) * scale, x @ p.wk, x @ p.wv, scale
+    return x, (x @ p.wq) * scale, x @ p.wk, scale
 
 
-def attention_forward(x: np.ndarray, p: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dot-product attention over rows, and each row's log-normalizer.
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", m, m))
+
+
+def attention_forward(x: np.ndarray, p: AttentionParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over rows: output, log-normalizers, ``a @ x``.
 
     Output rows are convex combinations of the rows of x @ wv, weighted by
-    softmax(q k^T / sqrt(k)) with q = x @ wq and k = x @ wk.  The second
-    value is ``lse``, the per-row log of the softmax denominator, which
-    ``attention_backward`` uses to rebuild the weights.
+    ``a = softmax(q k^T / sqrt(k))`` with q = x @ wq and k = x @ wk.  The
+    second value is ``lse``, the per-row log of the softmax denominator,
+    which ``attention_backward`` uses to rebuild the weights; the third is
+    ``a @ x``, of which the output is ``(a @ x) @ wv``.
     """
-    x, q, k, v, _ = _project(x, p)
-    n = x.shape[0]
-    buf = np.empty((min(n, INNER_CHUNK), n))
-    output = np.empty_like(v)
+    x, q, k, _ = _project(x, p)
+    n, d = x.shape
+    bound = _row_norms(q) * _row_norms(k).max(initial=0.0)
+    ones = np.ones((n, 1))
+    q_aug, k_aug = np.hstack([q, -bound[:, None]]), np.hstack([k, ones])
+    x_aug = np.hstack([x, ones])
+    buf = np.empty((min(n, ROW_BLOCK), n))
+    ax = np.empty_like(x)
     lse = np.empty(n)
-    for start in range(0, n, INNER_CHUNK):
-        rows = slice(start, start + INNER_CHUNK)
-        q_rows = q[rows]
-        e = np.matmul(q_rows, k.T, out=buf[: q_rows.shape[0]])
-        row_max = _shift_exp_inplace(e)
-        total = e.sum(axis=1, keepdims=True)
-        # Normalize the (rows, d) product, not the (rows, n) weights.
-        output[rows] = ordered_matmul(e, v) / total
-        lse[rows] = (row_max + np.log(total))[:, 0]
-    return output, lse
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        shift = bound[rows]
+        e = buf[: shift.shape[0]]
+        if np.all(shift <= SHIFT_LIMIT):
+            np.exp(np.matmul(q_aug[rows], k_aug.T, out=e), out=e)
+        else:
+            np.matmul(q[rows], k.T, out=e)
+            shift = _shift_exp_inplace(e)[:, 0]
+        # One product gives the weighted rows and, in its last column, the
+        # row sums; normalize the (rows, d) result, not the (rows, n) weights.
+        sums = ordered_matmul(e, x_aug)
+        ax[rows] = sums[:, :d] / sums[:, d:]
+        lse[rows] = shift + np.log(sums[:, d])
+    return ax @ p.wv, lse, ax
 
 
 def attention_backward(
     x: np.ndarray,
     p: AttentionParams,
     g_y: np.ndarray,
-    output: np.ndarray,
+    ax: np.ndarray,
     lse: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. (wq, wk, wv) of sum(g_y * attention_forward(x, p)[0]).
 
-    ``output`` and ``lse`` are what ``attention_forward(x, p)`` returned.
-    Each row block's weights are rebuilt from ``lse`` rather than stored.
-    The sums over rows for d_k and d_v add the blocks in order, which is
-    the chunk order of ``ordered_matmul``.
+    ``lse`` and ``ax`` are what ``attention_forward(x, p)`` returned.  Each
+    row block's weights are rebuilt from ``lse`` rather than stored, and its
+    score gradient is contracted with x at once, ``d_s_x = d_s @ x``; the
+    sums over rows then run in ``ordered_matmul`` after the loop.
     """
-    x, q, k, v, scale = _project(x, p)
+    x, q, k, scale = _project(x, p)
     n = x.shape[0]
     ones = np.ones((n, 1))
     # Softmax backward per row: dS = A * (dA - rowsum(dA * A)), where
-    # dA = g_y v^T and rowsum(dA * A) = rowsum(g_y * output).
-    d_out = np.einsum("ij,ij->i", g_y, output)[:, None]
+    # dA = (g_y wv^T) x^T and rowsum(dA * A) = rowsum((g_y wv^T) * ax).
+    g_ax = g_y @ p.wv.T
+    d_out = np.einsum("ij,ij->i", g_ax, ax)[:, None]
     q_aug, k_aug = np.hstack([q, -lse[:, None]]), np.hstack([k, ones])
-    g_aug, v_aug = np.hstack([g_y, -d_out]), np.hstack([v, ones])
-    a_buf, d_s_buf = (np.empty((min(n, INNER_CHUNK), n)) for _ in range(2))
-    d_q = np.empty_like(q)
-    for start in range(0, n, INNER_CHUNK):
-        rows = slice(start, start + INNER_CHUNK)
+    g_aug, x_aug = np.hstack([g_ax, -d_out]), np.hstack([x, ones])
+    a_buf, d_s_buf = (np.empty((min(n, ROW_BLOCK), n)) for _ in range(2))
+    d_s_x = np.empty_like(x)
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
         q_aug_rows = q_aug[rows]
         a = a_buf[: q_aug_rows.shape[0]]
         np.exp(np.matmul(q_aug_rows, k_aug.T, out=a), out=a)
-        d_s = np.matmul(g_aug[rows], v_aug.T, out=d_s_buf[: a.shape[0]])
+        d_s = np.matmul(g_aug[rows], x_aug.T, out=d_s_buf[: a.shape[0]])
         d_s *= a
-        d_q[rows] = ordered_matmul(d_s, k)
-        d_k_part = q[rows].T @ d_s
-        d_v_part = g_y[rows].T @ a
-        if start == 0:
-            d_k_t, d_v_t = d_k_part, d_v_part
-        else:
-            d_k_t += d_k_part
-            d_v_t += d_v_part
-    d_q *= scale
+        d_s_x[rows] = ordered_matmul(d_s, x)
+    # s = q k^T with q = scale * x wq and k = x wk, so d_wq = scale x^T dS k
+    # = scale (x^T d_s_x) wk and d_wk = x^T dS^T q = d_s_x^T q.
     return (
-        ordered_matmul(x.T, d_q),
-        ordered_matmul(x.T, d_k_t.T),
-        ordered_matmul(x.T, d_v_t.T),
+        scale * (ordered_matmul(x.T, d_s_x) @ p.wk),
+        ordered_matmul(d_s_x.T, q),
+        ordered_matmul(ax.T, g_y),
     )

@@ -13,6 +13,8 @@ that other implementations can replicate the streams.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -64,19 +66,48 @@ def derive_seed(base: int, stream: int) -> int:
     return mix64((base & MASK64) ^ mix64((stream + 1) & MASK64))
 
 
-def choose_without_replacement(n: int, k: int, seed: int) -> list[int]:
-    """Choose ``k`` of ``n`` indices uniformly, by partial Fisher-Yates.
+def _words(seed: int, count: int) -> np.ndarray:
+    """Outputs 1..count of ``SplitMix64(seed)`` at once, as uint64 words."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN) + np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
-    The result is a pure function of (n, k, seed).  Selection order is
-    discarded: the returned list is sorted.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot choose {k} of {n}")
-    if k == 0:
-        return []
+
+def _choose_sequential(n: int, k: int, seed: int) -> list[int]:
     rng = SplitMix64(seed)
     pool = list(range(n))
     for i in range(k):
         j = i + rng.next_below(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return sorted(pool[:k])
+
+
+def choose_without_replacement(n: int, k: int, seed: int) -> list[int]:
+    """Choose ``k`` of ``n`` indices uniformly, by partial Fisher-Yates.
+
+    The result is a pure function of (n, k, seed).  Selection order is
+    discarded: the returned list is sorted.  Step i swaps position i with
+    i + ``next_below(n - i)``.  While no draw is rejected, step i uses
+    output i + 1 of the stream, so all k words are computed at once and the
+    swaps touch a dict of at most 2k positions; a rejected draw shifts the
+    stream, and then the sequential generator redoes the choice.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot choose {k} of {n}")
+    if k == 0:
+        return []
+    words = _words(seed, k)
+    bounds = np.arange(n, n - k, -1, dtype=np.uint64)
+    # next_below(m) rejects u >= 2^64 - (2^64 mod m), and 2^64 mod m is
+    # (2^64 - m) mod m.
+    if np.any(words > np.uint64(MASK64) - (np.uint64(0) - bounds) % bounds):
+        return _choose_sequential(n, k, seed)
+    pool: dict[int, int] = {}
+    for i, step in enumerate((words % bounds).tolist()):
+        j = i + step
+        pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
+    return sorted(pool.get(i, i) for i in range(k))

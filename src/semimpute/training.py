@@ -4,10 +4,12 @@ Training alternates refinement and parameter updates: each epoch the current
 imputations pass through attention, the composite loss is evaluated on the
 merged matrix, and the attention parameters take one Adam step.  Refined
 imputations are carried into the next epoch.  Each epoch runs the attention
-forward once; it returns the output and one log-normalizer per row, and the
-gradient (``attention_backward``) rebuilds the weights from them row block
-by row block, with one product and one exp per block.  No epoch holds an
-n x n array: the forward reuses one (256, n) buffer and the backward two.
+forward once; it returns the output, one log-normalizer per row and the
+weighted rows ``a @ x``, and the gradient (``attention_backward``) rebuilds
+the weights from them block by block.  An epoch makes eight passes over
+each (ROW_BLOCK, n) block of scores, three forward and five backward, and
+holds no n x n array: the forward reuses one (ROW_BLOCK, n) buffer and the
+backward two, with ``attention.ROW_BLOCK`` rows chosen by timing.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _ml_cov(m: np.ndarray) -> np.ndarray:
 
 
 def _merged_output(state: LossState) -> np.ndarray:
-    output, _ = attention_forward(state.x, state.params)
+    output = attention_forward(state.x, state.params)[0]
     return np.where(state.replace_mask, output, state.x)
 
 
@@ -179,18 +181,21 @@ def loss_from_state(state: LossState) -> LossParts:
     )
 
 
-def grad_composite(state: LossState, output: np.ndarray, lse: np.ndarray) -> GradientSet:
+def grad_composite(
+    state: LossState, output: np.ndarray, lse: np.ndarray, ax: np.ndarray
+) -> GradientSet:
     """Analytic gradient of the composite loss w.r.t. wq, wk, wv.
 
-    ``output`` and ``lse`` are what ``attention_forward`` returned for
-    ``state.x`` and ``state.params``: the attention output and each row's
-    log-normalizer.  Backpropagates through the merge and the covariance
-    Frobenius norm to the attention output, then through the attention by
-    ``attention_backward``.  Per 256-row block it rebuilds the weights as
-    ``exp([q, -lse] @ [k, 1]^T)`` in one buffer and the score gradient as
-    ``a * ([g_y, -D] @ [v, 1]^T)`` in a second, with
-    ``D = rowsum(g_y * output)``: two products, one exp and one multiply,
-    and no softmax.  The L1 term contributes gamma * sign(theta) (0 at 0).
+    ``output``, ``lse`` and ``ax`` are what ``attention_forward`` returned
+    for ``state.x`` and ``state.params``: the attention output, each row's
+    log-normalizer and ``a @ x``.  Backpropagates through the merge and the
+    covariance Frobenius norm to the attention output, then through the
+    attention by ``attention_backward``.  Per row block it rebuilds the
+    weights as ``exp([q, -lse] @ [k, 1]^T)`` in one buffer and the score
+    gradient as ``a * ([g_y wv^T, -D] @ [x, 1]^T)`` in a second, with
+    ``D = rowsum((g_y wv^T) * ax)``, and contracts that with x: three
+    products, one exp and one multiply, and no softmax.  The L1 term
+    contributes gamma * sign(theta) (0 at 0).
     """
     x = np.asarray(state.x, dtype=np.float64)
     p = state.params
@@ -217,7 +222,7 @@ def grad_composite(state: LossState, output: np.ndarray, lse: np.ndarray) -> Gra
 
     g_y = np.where(state.replace_mask, g_merged, 0.0)
 
-    a_wq, a_wk, a_wv = attention_backward(x, p, g_y, output, lse)
+    a_wq, a_wk, a_wv = attention_backward(x, p, g_y, ax, lse)
     d_wq = a_wq + w.gamma * np.sign(p.wq)
     d_wk = a_wk + w.gamma * np.sign(p.wk)
     d_wv = a_wv + w.gamma * np.sign(p.wv)
@@ -380,7 +385,7 @@ def train(
             weights=w,
             ref_cov=ref_cov,
         )
-        output, lse = attention_forward(x_in, params)
+        output, lse, ax = attention_forward(x_in, params)
         merged = np.where(replace, output, x_in)
         parts = composite_loss(
             merged, reference, eval_mask, params, w, ref_cov=ref_cov
@@ -390,7 +395,7 @@ def train(
                 raise NumericalError(f"non-finite {name} loss at epoch {epoch}")
         history.append(EpochRecord(epoch, *parts))
 
-        grads = grad_composite(state, output, lse)
+        grads = grad_composite(state, output, lse, ax)
         params, adam = adam_step(params, grads, adam, cfg.lr, epoch)
 
         # Refined imputations (pre-update parameters) carry into next epoch.
@@ -495,7 +500,7 @@ def impute(
 
     result = train(norm, filled, truth_norm, cfg, w)
 
-    final_output, _ = attention_forward(result.refined.values, result.params)
+    final_output = attention_forward(result.refined.values, result.params)[0]
     final_norm = np.where(provenance, final_output, norm.values)
     final_ds = norm.with_values(final_norm)
     restored = denormalize(final_ds)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from semimpute.attention import (
+    ROW_BLOCK,
+    SHIFT_LIMIT,
     AttentionParams,
     attention_backward,
     attention_forward,
@@ -44,6 +46,12 @@ def _dense_lse(x, p):
     s = (x @ p.wq) @ (x @ p.wk).T / np.sqrt(p.dk)
     row_max = s.max(axis=1)
     return row_max + np.log(np.exp(s - row_max[:, None]).sum(axis=1))
+
+
+def _bound(x, p):
+    """Each row's shift bound |q_i| max_j |k_j|, from the full projections."""
+    q = (x @ p.wq) / np.sqrt(p.dk)
+    return np.linalg.norm(q, axis=1) * np.linalg.norm(x @ p.wk, axis=1).max()
 
 
 def _dense_backward(x, p, g_y):
@@ -89,7 +97,7 @@ def test_forward_two_row_worked_example():
     # so row 0 averages and row 1 weights by softmax([0, 1]).
     x = np.array([[0.0], [1.0]])
     p = AttentionParams(wq=np.eye(1), wk=np.eye(1), wv=np.eye(1))
-    output, _ = attention_forward(x, p)
+    output = attention_forward(x, p)[0]
     np.testing.assert_allclose(
         _dense_weights(x, p),
         [[0.5, 0.5], [1.0 - SIGMOID_1, SIGMOID_1]],
@@ -102,7 +110,7 @@ def test_forward_weights_are_row_stochastic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 5))
     p = init_params(5, seed=11)
-    output, _ = attention_forward(x, p)
+    output = attention_forward(x, p)[0]
     weights = _dense_weights(x, p)
     assert weights.shape == (40, 40)
     np.testing.assert_allclose(weights.sum(axis=1), np.ones(40), atol=1e-10)
@@ -114,7 +122,7 @@ def test_forward_output_inside_value_hull():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(25, 4))
     p = init_params(4, seed=2)
-    output, _ = attention_forward(x, p)
+    output = attention_forward(x, p)[0]
     v = x @ p.wv
     lo = v.min(axis=0) - 1e-12
     hi = v.max(axis=0) + 1e-12
@@ -126,32 +134,76 @@ def test_forward_is_row_permutation_equivariant():
     x = rng.normal(size=(17, 3))
     p = init_params(3, seed=8)
     perm = rng.permutation(17)
-    base, _ = attention_forward(x, p)
-    permuted, _ = attention_forward(x[perm], p)
+    base = attention_forward(x, p)[0]
+    permuted = attention_forward(x[perm], p)[0]
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
-@given(st.integers(1, 700), st.integers(1, 6), st.integers(0, 2**32 - 1))
-@example(1, 2, 0)
-@example(255, 3, 1)
-@example(256, 3, 2)
-@example(257, 3, 3)
-@example(600, 6, 4)
-@settings(max_examples=30, deadline=None)
-def test_row_blocks_match_dense_attention(n, d, seed):
-    # The blocks cover 256 rows each; the sizes around one block and a
-    # ragged third block are always among the examples.
+def _stretch_past_bound(x, p, r):
+    """Scale row r of x so that its shift bound lands just past SHIFT_LIMIT."""
+    q_norm = np.linalg.norm(x @ p.wq, axis=1) / np.sqrt(p.dk)
+    k_norm = np.linalg.norm(x @ p.wk, axis=1)
+    others = np.delete(k_norm, r).max(initial=0.0)
+    # The bound of row r grows as f |q_r| max(others, f |k_r|).
+    target = 1.05 * SHIFT_LIMIT
+    f = target / (q_norm[r] * others) if others > 0 else np.inf
+    if f * k_norm[r] > others:
+        f = np.sqrt(target / (q_norm[r] * k_norm[r]))
+    x[r] *= f
+    return f
+
+
+@given(st.integers(1, 700), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 2, 0, False)
+@example(ROW_BLOCK - 1, 3, 1, False)
+@example(ROW_BLOCK, 3, 2, True)
+@example(ROW_BLOCK + 1, 3, 3, True)
+@example(3 * ROW_BLOCK + 17, 5, 5, True)
+@example(600, 6, 4, False)
+@settings(max_examples=40, deadline=None)
+def test_row_blocks_match_dense_attention(n, d, seed, past_bound):
+    # Blocks cover ROW_BLOCK rows each; the sizes around one block and a
+    # ragged last block are always among the examples.  With past_bound one
+    # row is stretched until its shift bound passes SHIFT_LIMIT, so its
+    # block takes the exact row-max path and the others the bound shift.
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     g_y = rng.normal(size=(n, d))
     p = init_params(d, seed=seed)
-    want = _dense_weights(x, p) @ (x @ p.wv)
-    output, lse = attention_forward(x, p)
-    np.testing.assert_allclose(output, want, rtol=0, atol=1e-12)
+    if past_bound:
+        r = int(rng.integers(n))
+        f = _stretch_past_bound(x, p, r)
+        assert _bound(x, p)[r] > SHIFT_LIMIT
+        # The gradients grow as f squared; keep them O(1) so that the
+        # absolute tolerance below means the same in both cases.
+        g_y /= f * f
+    weights = _dense_weights(x, p)
+    output, lse, ax = attention_forward(x, p)
+    np.testing.assert_allclose(output, weights @ (x @ p.wv), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ax, weights @ x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lse, _dense_lse(x, p), rtol=1e-12, atol=0)
-    backward = attention_backward(x, p, g_y, output, lse)
+    backward = attention_backward(x, p, g_y, ax, lse)
     for got, dense in zip(backward, _dense_backward(x, p, g_y)):
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[rng.integers(n), rng.integers(d)] = bad
+        with pytest.raises(InputError, match="must be finite"):
+            attention_forward(x_bad, p)
+
+
+def test_rows_far_below_their_bound_take_the_row_max():
+    # With wk = -wq in one dimension, row 0 scores 30 * x_j against a bound
+    # of 900: shifted by the bound, every weight of the row would underflow
+    # to 0.  Its bound is past SHIFT_LIMIT, so the row max shifts it.
+    x = np.array([[-30.0], [1.0], [2.0]])
+    p = AttentionParams(wq=np.eye(1), wk=-np.eye(1), wv=np.eye(1))
+    assert _bound(x, p)[0] > SHIFT_LIMIT
+    weights = _dense_weights(x, p)
+    output, lse, ax = attention_forward(x, p)
+    np.testing.assert_allclose(output, weights @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ax, weights @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lse, _dense_lse(x, p), rtol=1e-12, atol=0)
 
 
 def test_forward_rejects_mismatched_width():
@@ -170,7 +222,7 @@ def test_forward_rejects_mismatched_width():
 @settings(max_examples=40, deadline=None)
 def test_forward_output_always_finite(x):
     p = init_params(x.shape[1], seed=13)
-    output, _ = attention_forward(x, p)
+    output = attention_forward(x, p)[0]
     assert np.isfinite(output).all()
     assert np.isfinite(_dense_weights(x, p)).all()
 

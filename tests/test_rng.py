@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimpute import rng as rng_module
 from semimpute.rng import SplitMix64, choose_without_replacement, derive_seed, mix64
 
 MASK64 = (1 << 64) - 1
@@ -83,3 +84,30 @@ def test_choose_without_replacement_properties(n, seed):
 def test_choose_without_replacement_rejects_bad_k():
     with pytest.raises(ValueError):
         choose_without_replacement(3, 4, 0)
+
+
+def _choose_loop(n, k, seed):
+    """The partial Fisher-Yates loop over one sequential stream, as an oracle."""
+    rng = SplitMix64(seed)
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.next_below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
+@given(st.data(), st.integers(0, 3000), st.integers(0, MASK64))
+@settings(max_examples=200, deadline=None)
+def test_choose_without_replacement_matches_loop_oracle(data, n, seed):
+    k = data.draw(st.integers(0, n))
+    assert choose_without_replacement(n, k, seed) == _choose_loop(n, k, seed)
+
+
+def test_rejected_draw_falls_back_to_the_sequential_stream(monkeypatch):
+    # An all-ones word is rejected by next_below(m) unless m is a power of
+    # two; 7, 6 and 5 are not, so every step would be redrawn.
+    monkeypatch.setattr(
+        rng_module, "_words", lambda seed, count: np.full(count, MASK64, dtype=np.uint64)
+    )
+    for seed in range(20):
+        assert choose_without_replacement(7, 3, seed) == _choose_loop(7, 3, seed)

@@ -9,7 +9,6 @@ import pytest
 from semimpute.attention import AttentionParams, attention_forward, init_params
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
-from semimpute.linalg import INNER_CHUNK
 from semimpute.missingness import apply_mcar
 from semimpute.training import (
     AdamState,
@@ -131,30 +130,35 @@ def test_gradient_matches_finite_differences_without_l1():
         assert np.abs(a - nmr).max() < 1e-6
 
 
-# One seeded 600-row state: above the size at which a threaded BLAS splits
-# the sums over rows differently for one and two threads, and three row
-# blocks of attention with a ragged last one.
+# Seeded states at 300 and 600 rows, 6 and 22 (the CDC table's) columns:
+# sizes at which a threaded BLAS splits products differently for one and
+# two threads, several attention row blocks with a ragged last one.
+_THREAD_SHAPES = [(n, d) for n in (300, 600) for d in (6, 22)]
 _THREAD_PROBE = """
 import sys
 import numpy as np
 from semimpute.attention import attention_forward, init_params
 from semimpute.training import LossState, LossWeights, grad_composite
 
-rng = np.random.default_rng(11)
-x = rng.normal(size=(600, 6))
-replace = rng.random((600, 6)) < 0.3
-state = LossState(
-    x=x,
-    params=init_params(6, seed=4),
-    reference=rng.normal(size=(600, 6)),
-    eval_mask=replace,
-    replace_mask=replace,
-    weights=LossWeights(),
-)
-output, lse = attention_forward(x, state.params)
-grads = grad_composite(state, output, lse)
-np.savez(sys.argv[1], output=output, lse=lse, **grads._asdict())
-"""
+arrays = {}
+for n, d in %r:
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, d))
+    replace = rng.random((n, d)) < 0.3
+    state = LossState(
+        x=x,
+        params=init_params(d, seed=4),
+        reference=rng.normal(size=(n, d)),
+        eval_mask=replace,
+        replace_mask=replace,
+        weights=LossWeights(),
+    )
+    output, lse, ax = attention_forward(x, state.params)
+    grads = grad_composite(state, output, lse, ax)
+    for name, value in dict(output=output, lse=lse, ax=ax, **grads._asdict()).items():
+        arrays[f"{n}x{d}:{name}"] = value
+np.savez(sys.argv[1], **arrays)
+""" % (_THREAD_SHAPES,)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core cannot run two BLAS threads")
@@ -173,7 +177,8 @@ def test_forward_and_gradient_bits_do_not_depend_on_blas_threads(tmp_path, child
         with np.load(out) as arrays:
             results.append({name: arrays[name].tobytes() for name in arrays.files})
     one, two = results
-    assert sorted(one) == sorted(two) == ["d_wk", "d_wq", "d_wv", "lse", "output"]
+    names = ["ax", "d_wk", "d_wq", "d_wv", "lse", "output"]
+    assert sorted(one) == sorted(two) == sorted(f"{n}x{d}:{m}" for n, d in _THREAD_SHAPES for m in names)
     differ = [name for name in one if one[name] != two[name]]
     assert not differ, f"differ between 1 and 2 BLAS threads: {differ}"
 
@@ -295,8 +300,10 @@ def test_train_self_supervised_runs_without_truth():
 
 
 def test_train_peak_memory_is_linear_in_rows():
-    # Attention works through blocks of INNER_CHUNK rows and never forms the
-    # n x n weights; the backward holds two (INNER_CHUNK, n) buffers.
+    # Attention works through blocks of ROW_BLOCK rows and never forms the
+    # n x n weights.  In units of one float64 (256, n) block, the backward's
+    # two (ROW_BLOCK, n) buffers take half a unit at 64 rows, and the rest
+    # is a few dozen n x d arrays.
     n = 3000
     masked, _ = _missing_dataset(seed=19, n=n, d=6, rate=0.3)
     init = _mean_filled(masked)
@@ -307,8 +314,8 @@ def test_train_peak_memory_is_linear_in_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    unit = 8 * n * INNER_CHUNK
-    assert peak < 3.2 * unit, f"peak {peak / unit:.2f} x 8 n INNER_CHUNK bytes"
+    unit = 8 * n * 256
+    assert peak < 1.2 * unit, f"peak {peak / unit:.2f} x 8 n 256 bytes"
 
 
 def test_train_stops_early_on_plateau():
