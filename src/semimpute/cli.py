@@ -248,8 +248,7 @@ def _envelope(cfg: RunConfig) -> dict:
 def _write_cell_flags(path, ds_names, flags: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(ds_names) + "\n")
-        for row in np.asarray(flags, dtype=int):
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in np.where(flags, "1", "0").tolist())
 
 
 def _load_inputs(cfg: RunConfig, path_key: str) -> Dataset:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -25,6 +24,9 @@ ORDINAL = "ordinal"
 
 # Variance substituted when a column offers fewer than two observed cells.
 VARIANCE_FLOOR = 1e-6
+
+# Rows that save_csv formats at a time.
+CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -382,28 +384,35 @@ def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV; missing cells become empty fields.
 
     Observed ordinal cells are emitted as level labels when the stored value
-    is a valid index; floats use ``repr`` so the round-trip is exact.
+    is within 1e-9 of a valid index; other integral floats below 1e15 in
+    magnitude as integers, and the rest with ``repr`` so the round-trip is
+    exact.  Cells are formatted a column at a time, ``CSV_BLOCK`` rows at a
+    time, so the strings held at once do not grow with the row count.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.names)
-        for i in range(ds.n):
-            row = []
-            for j, spec in enumerate(ds.specs):
-                if not ds.mask[i, j]:
-                    row.append("")
-                    continue
-                x = float(ds.values[i, j])
-                if spec.kind == ORDINAL:
-                    idx = int(round(x))
-                    if abs(x - idx) <= 1e-9 and 0 <= idx < spec.n_levels:
-                        row.append(spec.levels[idx])
-                        continue
-                row.append(_format_float(x))
-            writer.writerow(row)
+        for start in range(0, ds.n, CSV_BLOCK):
+            rows = slice(start, start + CSV_BLOCK)
+            columns = [
+                _format_column(ds.values[rows, j], ds.mask[rows, j], spec)
+                for j, spec in enumerate(ds.specs)
+            ]
+            writer.writerows(zip(*columns))
 
 
-def _format_float(x: float) -> str:
-    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+def _format_column(x: np.ndarray, observed: np.ndarray, spec: VariableSpec) -> list[str]:
+    """The CSV fields of one column's block of rows, formatted as ``save_csv`` says."""
+    out = np.full(x.size, "", dtype=object)
+    todo = observed.copy()
+    with np.errstate(invalid="ignore"):
+        if spec.kind == ORDINAL:
+            idx = np.rint(x)
+            label = todo & (np.abs(x - idx) <= 1e-9) & (idx >= 0) & (idx < spec.n_levels)
+            out[label] = np.array(spec.levels, dtype=object)[idx[label].astype(np.intp)]
+            todo &= ~label
+        integral = todo & (np.trunc(x) == x) & (np.abs(x) < 1e15)
+    out[integral] = list(map(str, x[integral].astype(np.int64).tolist()))
+    todo &= ~integral
+    out[todo] = list(map(repr, x[todo].tolist()))
+    return out.tolist()

@@ -8,7 +8,8 @@ One E-step (``_estep``) serves EM, the log-likelihood and the conditional
 fill.  It groups the rows by their number of observed cells, so there are at
 most d + 1 groups however many missingness patterns the table has, and works
 through each group in blocks of ``linalg.INNER_CHUNK`` rows.  Per block, one
-batched Cholesky factor of the rows' observed covariance blocks gives the
+batched Cholesky factor of the rows' observed covariance blocks, and forward
+substitution against it (``linalg.forward_substitute``), give the
 log-likelihood, the conditional means of the missing cells and their
 conditional covariance (Little & Rubin, *Statistical Analysis with Missing
 Data*, 3rd ed., ch. 11).
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset, pairwise_stats
 from .errors import InputError, NumericalError
-from .linalg import INNER_CHUNK, ensure_pd, ordered_matmul, ridged_cholesky
+from .linalg import INNER_CHUNK, ensure_pd, forward_substitute, ordered_matmul, ridged_cholesky
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -132,7 +133,7 @@ def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset) -> EStep:
         elif k == d:
             _, chol = ridged_cholesky(sigma, RIDGE, warnings, "pattern submatrix for factorization")
             logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            z = np.linalg.solve(chol, (ds.values[rows] - mu).T)
+            z = forward_substitute(chol, (ds.values[rows] - mu).T)
             quad = np.sum(z * z, axis=0)
             total += float(np.sum(-0.5 * (d * LOG_2PI + logdet + quad)))
         else:
@@ -145,9 +146,9 @@ def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset) -> EStep:
 def _estep_block(rows, k, mu, sigma, ds, filled, correction, warnings) -> float:
     """E-step of rows that each have k observed cells; returns their log-likelihood.
 
-    With L the Cholesky factor of sigma_oo, one batched solve of L against
-    [x_o - mu_o | sigma_om] gives z and W: the quadratic form is |z|^2,
-    E[x_m | x_o] = mu_m + W'z and Cov(x_m | x_o) = sigma_mm - W'W.
+    With L the Cholesky factor of sigma_oo, one batched forward substitution
+    against L of [x_o - mu_o | sigma_om] gives z and W: the quadratic form is
+    |z|^2, E[x_m | x_o] = mu_m + W'z and Cov(x_m | x_o) = sigma_mm - W'W.
     """
     d = mu.size
     # Observed columns first, then missing ones, each in column order.
@@ -157,7 +158,7 @@ def _estep_block(rows, k, mu, sigma, ds, filled, correction, warnings) -> float:
     rhs = np.concatenate((resid[:, :, None], sigma[o[:, :, None], m[:, None, :]]), axis=2)
     sigma_oo = sigma[o[:, :, None], o[:, None, :]]
     _, chol = ridged_cholesky(sigma_oo, RIDGE, warnings, "pattern submatrix for factorization")
-    solved = np.linalg.solve(chol, rhs)
+    solved = forward_substitute(chol, rhs)
     z, w = solved[:, :, 0], solved[:, :, 1:]
     w_t = w.transpose(0, 2, 1)
     filled[rows[:, None], m] = mu[m] + (w_t @ z[:, :, None])[:, :, 0]

@@ -8,6 +8,11 @@ dimension in chunks no longer than the BLAS kernel's own inner block keeps
 each chunk product a single pass, and the chunks are added here in a fixed
 order.
 
+``forward_substitute`` solves against a lower-triangular factor, or a stack
+of them, by forward substitution.  Each step is one ``einsum`` without
+``optimize``, which runs numpy's own loops and no BLAS call, so its bits do
+not depend on the thread count either.
+
 ``ridged_cholesky`` is the one positive-definite decision: it factors a
 matrix, or a stack of them, and retries once with a diagonal ridge.
 ``ensure_pd`` builds on it and floors the spectrum when the ridge is not
@@ -35,6 +40,21 @@ def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for start in range(INNER_CHUNK, a.shape[1], INNER_CHUNK):
         stop = start + INNER_CHUNK
         out += a[:, start:stop] @ b[start:stop]
+    return out
+
+
+def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``chol @ out = rhs`` for lower-triangular ``chol``.
+
+    ``chol`` is (..., k, k) and ``rhs`` (..., k, r) with the same leading
+    shape.  Row i of the solution is
+    ``(rhs[i] - chol[i, :i] @ out[:i]) / chol[i, i]``, taken for the whole
+    stack at once; the entries above the diagonal are never read.
+    """
+    out = np.empty_like(rhs)
+    for i in range(chol.shape[-1]):
+        known = np.einsum("...j,...jr->...r", chol[..., i, :i], out[..., :i, :])
+        out[..., i, :] = (rhs[..., i, :] - known) / chol[..., i, i, None]
     return out
 
 

@@ -344,7 +344,8 @@ def train(
         if truth.n_missing() != 0:
             raise InputError("benchmark truth must be complete")
         truth_values = np.asarray(truth.values, dtype=np.float64)
-        ref_cov = None
+        # The covariance target is fixed; take it once, not twice per epoch.
+        ref_cov = _ml_cov(truth_values)
     else:
         if truth is not None:
             raise InputError("self-supervised mode takes no truth")

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from semimpute.cli import run
+from semimpute.cli import _write_cell_flags, run
 from semimpute.dataset import VariableSpec, load_csv, load_variable_specs
 
 
@@ -579,3 +582,21 @@ def test_ordinal_labels_round_trip_through_impute(tmp_path):
     assert header == "score,health"
     filled_levels = {line.split(",")[1] for line in body}
     assert filled_levels <= set(labels)
+
+
+def _cell_flags_oracle(path, ds_names, flags):
+    """_write_cell_flags cell by cell: the writer the row-wise one replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(ds_names) + "\n")
+        for row in np.asarray(flags, dtype=int):
+            fh.write(",".join(str(int(v)) for v in row) + "\n")
+
+
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40)))
+@settings(max_examples=100, deadline=None)
+def test_write_cell_flags_matches_per_cell_oracle(tmp_path_factory, flags):
+    out = tmp_path_factory.mktemp("flags")
+    names = [f"v{j}" for j in range(flags.shape[1])]
+    _write_cell_flags(out / "got.csv", names, flags)
+    _cell_flags_oracle(out / "want.csv", names, flags)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

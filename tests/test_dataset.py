@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from semimpute.dataset import (
+    CSV_BLOCK,
     Dataset,
     VariableSpec,
     apply_normalization,
@@ -228,3 +232,107 @@ def test_save_csv_float_formatting_is_exact(tmp_path, make_dataset):
     save_csv(ds, out)
     reloaded = load_csv(out, ds.specs)
     assert reloaded.values[0, 0] == x
+
+
+def _save_csv_oracle(ds, path):
+    """save_csv cell by cell: the writer the column-wise one replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.names)
+        for i in range(ds.n):
+            row = []
+            for j, spec in enumerate(ds.specs):
+                if not ds.mask[i, j]:
+                    row.append("")
+                    continue
+                x = float(ds.values[i, j])
+                if spec.kind == "ordinal":
+                    idx = int(round(x))
+                    if abs(x - idx) <= 1e-9 and 0 <= idx < spec.n_levels:
+                        row.append(spec.levels[idx])
+                        continue
+                if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
+                    row.append(str(int(x)))
+                else:
+                    row.append(repr(x))
+            writer.writerow(row)
+
+
+# Labels that csv must quote, and level counts of 1 to 4.
+LABEL_SETS = (("only",), ("a,b", 'say "hi"'), ("low", "mid", "high"), ("0", "1", "2", "3"))
+EDGE_CONTINUOUS = (
+    -0.0, 0.0, 1.0, -3.0, 0.5, 0.1 + 0.2, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+    1e300, 5e-324, np.nan, np.inf, -np.inf,
+)
+
+
+def _ordinal_values(n_levels):
+    on_grid = [float(i) for i in range(n_levels)] + [-0.0]
+    return st.sampled_from(on_grid + [1.5, -1.0, float(n_levels), 2 + 5e-10, 2 - 5e-10, 0.5])
+
+
+def _continuous_values():
+    integral = st.integers(-(10**16), 10**16).map(float)
+    return st.sampled_from(EDGE_CONTINUOUS) | st.floats(width=64) | integral
+
+
+@st.composite
+def _mixed_datasets(draw):
+    n = draw(st.integers(min_value=0, max_value=30))
+    kinds = draw(st.lists(st.sampled_from([None, *LABEL_SETS]), min_size=1, max_size=5))
+    specs, columns = [], []
+    for j, levels in enumerate(kinds):
+        if levels is None:
+            specs.append(VariableSpec(f"c{j}", "continuous"))
+            values = _continuous_values()
+        else:
+            specs.append(VariableSpec(f"o{j}", "ordinal", levels=levels))
+            values = _ordinal_values(len(levels))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    mask = draw(hnp.arrays(bool, (n, len(specs))))
+    values = np.array(columns, dtype=np.float64).T.reshape(n, len(specs))
+    return Dataset(values=values, mask=mask, specs=tuple(specs))
+
+
+@given(_mixed_datasets())
+@settings(max_examples=150, deadline=None)
+def test_save_csv_matches_per_cell_oracle(tmp_path_factory, ds):
+    out = tmp_path_factory.mktemp("save")
+    save_csv(ds, out / "got.csv")
+    _save_csv_oracle(ds, out / "want.csv")
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def test_save_csv_matches_oracle_across_blocks(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 2 * CSV_BLOCK + 5
+    specs = (SEVERITY, WEIGHT, VariableSpec("code", "ordinal", levels=("a,b", "c")))
+    values = np.column_stack(
+        [
+            rng.choice([0.0, 1.0, 2.0, 1.5, -1.0, 3.0, 2 + 5e-10], n),
+            rng.choice([*EDGE_CONTINUOUS, *rng.standard_normal(8)], n),
+            rng.choice([0.0, -0.0, 1.0, 2.0], n),
+        ]
+    )
+    ds = Dataset(values=values, mask=rng.random((n, 3)) < 0.8, specs=specs)
+    save_csv(ds, tmp_path / "got.csv")
+    _save_csv_oracle(ds, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_save_csv_memory_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(6)
+    peaks = []
+    for n in (2_000, 20_000):
+        specs = tuple(VariableSpec(f"v{j}", "continuous") for j in range(8))
+        mask = rng.random((n, 8)) < 0.9
+        ds = Dataset(values=rng.standard_normal((n, 8)), mask=mask, specs=specs)
+        tracemalloc.start()
+        try:
+            save_csv(ds, tmp_path / f"{n}.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # Formatting the whole table at once would hold ten times the strings.
+    assert peaks[1] < 1.5 * peaks[0]

@@ -10,6 +10,7 @@ from semimpute.errors import InputError, NumericalError
 from semimpute.fiml import (
     LOG_2PI,
     MONOTONE_SLACK,
+    RIDGE,
     EmConfig,
     MvnParams,
     _estep,
@@ -17,7 +18,7 @@ from semimpute.fiml import (
     em_fit,
     loglik_observed,
 )
-from semimpute.linalg import INNER_CHUNK
+from semimpute.linalg import INNER_CHUNK, forward_substitute
 from semimpute.missingness import apply_mcar
 
 STD_NORMAL_LL_AT_MEAN = -0.9189385332046727  # -log(2*pi)/2
@@ -276,3 +277,71 @@ def test_em_memory_stays_linear_in_rows():
     # Gathering the observed blocks of all rows at once, about k^2 = 225
     # floats per row, would pass this bound by itself.
     assert peak < 10 * 8 * n * d
+
+
+def _lower_factors(rng, batch, k, family):
+    """Lower-triangular factors whose rows span six decades of scale.
+
+    "scaled" factors are D M with D log-uniform on [RIDGE, 1] and M unit
+    lower triangular, so a later row with a larger scale makes LU pivot;
+    "ridge" factors also set about a third of the diagonal to 1-2 x RIDGE;
+    "cholesky" factors are those of S C S with C well conditioned and S
+    log-uniform, the shape the E-step's observed blocks take.
+    """
+    scale = np.exp(rng.uniform(np.log(RIDGE), 0.0, (batch, k)))
+    if family == "cholesky":
+        b = rng.standard_normal((batch, k, k))
+        c = b @ b.transpose(0, 2, 1) / k + 0.1 * np.eye(k)
+        return np.linalg.cholesky(scale[:, :, None] * c * scale[:, None, :])
+    if family == "ridge":
+        tiny = rng.random((batch, k)) < 0.3
+        scale = np.where(tiny, RIDGE * rng.uniform(1.0, 2.0, (batch, k)), scale)
+    unit = np.tril(rng.uniform(-0.5, 0.5, (batch, k, k)), -1) + np.eye(k)
+    return scale[:, :, None] * unit
+
+
+def _check_against_lu(chol, rhs):
+    """forward_substitute agrees with LU to 1e-12 of each system's largest entry."""
+    # One step of iterative refinement in working precision (Skeel 1980)
+    # makes the LU solution componentwise backward stable, as forward
+    # substitution is.  Plain LU with partial pivoting mixes rows whose
+    # scales differ by 1e6 and was off by up to 2.5e-12 on "ridge" factors.
+    lu = np.linalg.solve(chol, rhs)
+    lu += np.linalg.solve(chol, rhs - chol @ lu)
+    # Entries above the diagonal are never read.
+    k = chol.shape[-1]
+    got = forward_substitute(chol + np.triu(np.full((k, k), np.nan), 1), rhs)
+    err = np.max(np.abs(got - lu), axis=(-2, -1)) / np.max(np.abs(lu), axis=(-2, -1))
+    assert np.all(err <= 1e-12)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=22),
+    st.integers(min_value=1, max_value=22),
+    st.sampled_from(["scaled", "ridge", "cholesky"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_forward_substitute_matches_lu_solve(seed, batch, k, width, family):
+    rng = np.random.default_rng(seed)
+    chol = _lower_factors(rng, batch, k, family)
+    _check_against_lu(chol, rng.standard_normal((batch, k, width)))
+
+
+@pytest.mark.parametrize("family", ["scaled", "ridge", "cholesky"])
+def test_forward_substitute_draws_factors_where_lu_pivots(family):
+    chol = _lower_factors(np.random.default_rng(0), 200, 10, family)
+    # Partial pivoting swaps rows when an entry below the diagonal is
+    # larger than the diagonal entry of its column.
+    below = np.abs(np.tril(chol, -1)).max(axis=1)
+    pivots = below > np.abs(np.diagonal(chol, axis1=1, axis2=2))
+    assert pivots.any(axis=1).mean() > 0.5
+    if family == "ridge":
+        assert np.any(np.diagonal(chol, axis1=1, axis2=2) < 2 * RIDGE)
+
+
+def test_forward_substitute_solves_one_factor_against_many_columns():
+    # The E-step's complete rows: one d x d factor and one column per row.
+    rng = np.random.default_rng(2)
+    _check_against_lu(_lower_factors(rng, 1, 6, "ridge")[0], rng.standard_normal((6, 1000)))

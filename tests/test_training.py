@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from semimpute.training import (
     LossState,
     LossWeights,
     TrainConfig,
+    _ml_cov,
     adam_step,
     composite_loss,
     finite_diff_grad,
@@ -128,6 +130,19 @@ def test_gradient_matches_finite_differences_without_l1():
     numeric = finite_diff_grad(state, h=1e-5)
     for a, nmr in zip(analytic, numeric):
         assert np.abs(a - nmr).max() < 1e-6
+
+
+def test_covariance_target_given_once_equals_the_default():
+    # Benchmark-mode training passes the reference's ML covariance as
+    # ref_cov once, instead of letting every loss and gradient recompute it.
+    state = _small_state(seed=5)
+    fixed = dataclasses.replace(state, ref_cov=_ml_cov(state.reference))
+    forward = attention_forward(state.x, state.params)
+    merged = np.where(state.replace_mask, forward[0], state.x)
+    args = (merged, state.reference, state.eval_mask, state.params, state.weights)
+    assert composite_loss(*args) == composite_loss(*args, ref_cov=fixed.ref_cov)
+    for a, b in zip(grad_composite(state, *forward), grad_composite(fixed, *forward)):
+        np.testing.assert_array_equal(a, b)
 
 
 # Seeded states at 300 and 600 rows, 6 and 22 (the CDC table's) columns:
