@@ -111,14 +111,6 @@ def _shift_exp_inplace(s: np.ndarray) -> np.ndarray:
     return row_max
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Numerically stable per-row softmax; rows sum to 1 within 1e-12."""
-    s = np.array(m, dtype=np.float64)
-    _shift_exp_inplace(s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
-
-
 def _project(x: np.ndarray, p: AttentionParams):
     """``x`` as float64 and its projections; q carries the 1/sqrt(k) scale."""
     x = np.asarray(x, dtype=np.float64)

@@ -9,6 +9,7 @@ reproduced from its own outputs.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .sem import SemSpec, load_spec
 from .training import (
     MODE_BENCHMARK,
     MODE_SELF_SUPERVISED,
+    ImputeReport,
     LossWeights,
     TrainConfig,
     impute,
@@ -247,7 +249,7 @@ def _envelope(cfg: RunConfig) -> dict:
 
 def _write_cell_flags(path, ds_names, flags: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ds_names) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(ds_names)
         fh.writelines(",".join(row) + "\n" for row in np.where(flags, "1", "0").tolist())
 
 
@@ -257,29 +259,31 @@ def _load_inputs(cfg: RunConfig, path_key: str) -> Dataset:
     return load_csv(cfg[path_key], specs, strict=not cfg["lenient"])
 
 
-def _train_config(cfg: RunConfig, seed: int, mode: str) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"],
-        max_epochs=cfg["epochs"],
-        rel_tol=cfg["tol"],
-        self_mask_rate=cfg["self_mask_rate"],
-        seed=seed,
-        mode=mode,
+def _impute_sesa(
+    cfg: RunConfig, ds: Dataset, truth: Dataset | None, seed: int
+) -> tuple[Dataset, ImputeReport]:
+    """``impute`` with the path model, training, loss and EM settings of ``cfg``."""
+    return impute(
+        ds,
+        load_spec(cfg["sem"]) if cfg["sem"] else None,
+        TrainConfig(
+            lr=cfg["lr"],
+            max_epochs=cfg["epochs"],
+            rel_tol=cfg["tol"],
+            self_mask_rate=cfg["self_mask_rate"],
+            seed=seed,
+            mode=cfg["mode"],
+        ),
+        LossWeights(alpha=cfg["alpha"], beta=cfg["beta"], gamma=cfg["gamma"]),
+        truth=truth,
+        em=EmConfig(max_iter=cfg["em_max_iter"], tol=cfg["em_tol"]),
+        moments=cfg["init_moments"],
     )
-
-
-def _loss_weights(cfg: RunConfig) -> LossWeights:
-    return LossWeights(alpha=cfg["alpha"], beta=cfg["beta"], gamma=cfg["gamma"])
-
-
-def _em_config(cfg: RunConfig) -> EmConfig:
-    return EmConfig(max_iter=cfg["em_max_iter"], tol=cfg["em_tol"])
 
 
 def cmd_impute(cfg: RunConfig) -> int:
     _require(cfg, "out_prefix")
     ds = _load_inputs(cfg, "input")
-    spec = load_spec(cfg["sem"]) if cfg["sem"] else None
     truth = None
     if cfg["mode"] == MODE_BENCHMARK:
         _require(cfg, "truth")
@@ -289,15 +293,7 @@ def cmd_impute(cfg: RunConfig) -> int:
     elif cfg["truth"]:
         raise InputError("--truth is only meaningful with --mode benchmark")
 
-    imputed, report = impute(
-        ds,
-        spec,
-        _train_config(cfg, cfg["seed"], cfg["mode"]),
-        _loss_weights(cfg),
-        truth=truth,
-        em=_em_config(cfg),
-        moments=cfg["init_moments"],
-    )
+    imputed, report = _impute_sesa(cfg, ds, truth, cfg["seed"])
 
     prefix = cfg["out_prefix"]
     save_csv(imputed, f"{prefix}.imputed.csv")
@@ -339,17 +335,8 @@ def _run_method(
     if method == "knn":
         return knn_impute(masked, k=cfg["knn_k"]), {}
     if method == "sesa":
-        spec = load_spec(cfg["sem"]) if cfg["sem"] else None
-        mode = cfg["mode"]
-        imputed, report = impute(
-            masked,
-            spec,
-            _train_config(cfg, seed, mode),
-            _loss_weights(cfg),
-            truth=truth if mode == MODE_BENCHMARK else None,
-            em=_em_config(cfg),
-            moments=cfg["init_moments"],
-        )
+        benchmark_truth = truth if cfg["mode"] == MODE_BENCHMARK else None
+        imputed, report = _impute_sesa(cfg, masked, benchmark_truth, seed)
         return imputed, {
             "epochs": report.epochs,
             "em_iterations": report.em_iterations,

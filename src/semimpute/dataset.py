@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -150,30 +151,28 @@ def resolve_token(token: str, spec: VariableSpec, *, row: int, strict: bool):
 
     Returns (value, observed).  Ordinal cells resolve exact level labels
     first, then fall back to a numeric code; continuous cells parse as
-    floats.  In lenient mode an unparseable cell becomes missing instead of
-    raising.
+    floats.  A number must be finite: ``float`` also reads ``nan`` and
+    ``inf``, which are neither values nor missing tokens.  In lenient mode
+    an unparseable or non-finite cell becomes missing instead of raising.
     """
-    if spec.kind == ORDINAL:
-        if token in spec.levels:
-            return float(spec.levels.index(token)), True
-        try:
-            return float(token), True
-        except ValueError:
-            if strict:
-                raise ParseError(
-                    f"label {token!r} not in levels of {spec.name!r}",
-                    row=row,
-                    column=spec.name,
-                ) from None
-            return MISSING_SENTINEL, False
+    if spec.kind == ORDINAL and token in spec.levels:
+        return float(spec.levels.index(token)), True
     try:
-        return float(token), True
+        value = float(token)
     except ValueError:
-        if strict:
-            raise ParseError(
-                f"cannot parse {token!r} as a number", row=row, column=spec.name
-            ) from None
+        value = None
+    else:
+        if math.isfinite(value):
+            return value, True
+    if not strict:
         return MISSING_SENTINEL, False
+    if value is not None:
+        message = f"{token!r} is not a finite number"
+    elif spec.kind == ORDINAL:
+        message = f"label {token!r} not in levels of {spec.name!r}"
+    else:
+        message = f"cannot parse {token!r} as a number"
+    raise ParseError(message, row=row, column=spec.name)
 
 
 def load_csv(

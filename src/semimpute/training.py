@@ -1,21 +1,18 @@
 """Composite loss, analytic gradients, Adam, and the imputation pipeline.
 
-Training alternates refinement and parameter updates: each epoch the current
-imputations pass through attention, the composite loss is evaluated on the
-merged matrix, and the attention parameters take one Adam step.  Refined
-imputations are carried into the next epoch.  Each epoch runs the attention
-forward once; it returns the output, one log-normalizer per row and the
-weighted rows ``a @ x``, and the gradient (``attention_backward``) rebuilds
-the weights from them block by block.  An epoch makes eight passes over
-each (ROW_BLOCK, n) block of scores, three forward and five backward, and
-holds no n x n array: the forward reuses one (ROW_BLOCK, n) buffer and the
-backward two, with ``attention.ROW_BLOCK`` rows chosen by timing.
+Each training epoch is four calls.  ``attention_forward`` returns the
+output, one log-normalizer per row and ``a @ x``.  ``composite_loss``
+merges the output into the input once and returns the loss parts together
+with their gradient w.r.t. the output.  ``grad_composite`` carries that
+gradient through ``attention_backward`` to the parameters, and ``adam_step``
+updates them.  Refined imputations are carried into the next epoch.  How the
+attention works through blocks of rows is described in ``attention``.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -135,101 +132,64 @@ def _ml_cov(m: np.ndarray) -> np.ndarray:
     return ordered_matmul(centered.T, centered) / m.shape[0]
 
 
-def _merged_output(state: LossState) -> np.ndarray:
-    output = attention_forward(state.x, state.params)[0]
-    return np.where(state.replace_mask, output, state.x)
+def composite_loss(state: LossState, output: np.ndarray) -> tuple[LossParts, np.ndarray]:
+    """The loss of one epoch and its gradient w.r.t. the attention output.
 
-
-def composite_loss(
-    imputed: np.ndarray,
-    reference: np.ndarray,
-    eval_mask: np.ndarray,
-    params: AttentionParams,
-    w: LossWeights,
-    ref_cov: np.ndarray | None = None,
-) -> LossParts:
-    """total = alpha * MSE(eval cells) + beta * ||Cov diff||_F + gamma * L1."""
-    imputed = np.asarray(imputed, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    eval_mask = np.asarray(eval_mask, dtype=bool)
-    if reference.shape != imputed.shape or eval_mask.shape != imputed.shape:
-        raise InputError("imputed, reference, and eval_mask must share a shape")
+    ``output`` is ``attention_forward(state.x, state.params)[0]``.  It
+    replaces ``x`` at the ``replace_mask`` cells, and on that merged matrix
+    total = alpha * MSE(eval cells) + beta * ||Cov diff||_F + gamma * L1.
+    The merge, its covariance and the Frobenius norm are taken once and
+    serve both the loss and ``g_y``, which is masked to the replaced cells.
+    """
+    w = state.weights
+    reference = np.asarray(state.reference, dtype=np.float64)
+    eval_mask = np.asarray(state.eval_mask, dtype=bool)
+    merged = np.where(state.replace_mask, output, np.asarray(state.x, dtype=np.float64))
+    n = merged.shape[0]
+    g_merged = np.zeros_like(merged)
 
     n_eval = int(eval_mask.sum())
     if n_eval == 0:
         _warnings.warn("empty evaluation mask; MSE term is 0", stacklevel=2)
         mse = 0.0
     else:
-        diff = imputed[eval_mask] - reference[eval_mask]
+        resid = merged - reference
+        diff = resid[eval_mask]
         mse = float(np.mean(diff * diff))
+        if w.alpha != 0:
+            g_merged += w.alpha * 2.0 * np.where(eval_mask, resid, 0.0) / n_eval
 
-    target = _ml_cov(reference) if ref_cov is None else np.asarray(ref_cov)
-    cov = float(np.linalg.norm(_ml_cov(imputed) - target, "fro"))
-    l1 = float(sum(np.abs(m).sum() for m in (params.wq, params.wk, params.wv)))
+    target = _ml_cov(reference) if state.ref_cov is None else np.asarray(state.ref_cov)
+    centered = merged - merged.mean(axis=0)
+    d_cov = ordered_matmul(centered.T, centered) / n - target
+    cov = float(np.linalg.norm(d_cov, "fro"))
+    if w.beta != 0 and cov > 0:
+        g_merged += w.beta * (2.0 / (n * cov)) * (centered @ d_cov)
+
+    p = state.params
+    l1 = float(sum(np.abs(m).sum() for m in (p.wq, p.wk, p.wv)))
     total = w.alpha * mse + w.beta * cov + w.gamma * l1
-    return LossParts(total=total, mse=mse, cov=cov, l1=l1)
-
-
-def loss_from_state(state: LossState) -> LossParts:
-    return composite_loss(
-        _merged_output(state),
-        state.reference,
-        state.eval_mask,
-        state.params,
-        state.weights,
-        ref_cov=state.ref_cov,
-    )
+    parts = LossParts(total=total, mse=mse, cov=cov, l1=l1)
+    return parts, np.where(state.replace_mask, g_merged, 0.0)
 
 
 def grad_composite(
-    state: LossState, output: np.ndarray, lse: np.ndarray, ax: np.ndarray
+    state: LossState, g_y: np.ndarray, lse: np.ndarray, ax: np.ndarray
 ) -> GradientSet:
-    """Analytic gradient of the composite loss w.r.t. wq, wk, wv.
+    """Gradient of the composite loss w.r.t. wq, wk and wv.
 
-    ``output``, ``lse`` and ``ax`` are what ``attention_forward`` returned
-    for ``state.x`` and ``state.params``: the attention output, each row's
-    log-normalizer and ``a @ x``.  Backpropagates through the merge and the
-    covariance Frobenius norm to the attention output, then through the
-    attention by ``attention_backward``.  Per row block it rebuilds the
-    weights as ``exp([q, -lse] @ [k, 1]^T)`` in one buffer and the score
-    gradient as ``a * ([g_y wv^T, -D] @ [x, 1]^T)`` in a second, with
-    ``D = rowsum((g_y wv^T) * ax)``, and contracts that with x: three
-    products, one exp and one multiply, and no softmax.  The L1 term
-    contributes gamma * sign(theta) (0 at 0).
+    ``g_y`` is the output gradient from ``composite_loss``; ``lse`` and
+    ``ax`` are what ``attention_forward`` returned for ``state.x`` and
+    ``state.params``.  ``attention_backward`` carries ``g_y`` to the
+    parameters, and the L1 term adds gamma * sign(theta) (0 at 0).
     """
-    x = np.asarray(state.x, dtype=np.float64)
-    p = state.params
-    w = state.weights
-    n = x.shape[0]
-    merged = np.where(state.replace_mask, output, x)
-
-    g_merged = np.zeros_like(merged)
-    n_eval = int(np.asarray(state.eval_mask).sum())
-    if w.alpha != 0 and n_eval > 0:
-        diff = np.where(state.eval_mask, merged - state.reference, 0.0)
-        g_merged += w.alpha * 2.0 * diff / n_eval
-    if w.beta != 0:
-        target = (
-            _ml_cov(np.asarray(state.reference, dtype=np.float64))
-            if state.ref_cov is None
-            else np.asarray(state.ref_cov)
-        )
-        d_cov = _ml_cov(merged) - target
-        fro = float(np.linalg.norm(d_cov, "fro"))
-        if fro > 0:
-            centered = merged - merged.mean(axis=0)
-            g_merged += w.beta * (2.0 / (n * fro)) * (centered @ d_cov)
-
-    g_y = np.where(state.replace_mask, g_merged, 0.0)
-
-    a_wq, a_wk, a_wv = attention_backward(x, p, g_y, ax, lse)
-    d_wq = a_wq + w.gamma * np.sign(p.wq)
-    d_wk = a_wk + w.gamma * np.sign(p.wk)
-    d_wv = a_wv + w.gamma * np.sign(p.wv)
-    for name, g in (("wq", d_wq), ("wk", d_wk), ("wv", d_wv)):
+    p, gamma = state.params, state.weights.gamma
+    backward = attention_backward(state.x, p, g_y, ax, lse)
+    grads = GradientSet(*(g + gamma * np.sign(m) for g, m in zip(backward, (p.wq, p.wk, p.wv))))
+    for name, g in zip(("wq", "wk", "wv"), grads):
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name}")
-    return GradientSet(d_wq=d_wq, d_wk=d_wk, d_wv=d_wv)
+    return grads
 
 
 def finite_diff_grad(state: LossState, h: float) -> GradientSet:
@@ -238,16 +198,8 @@ def finite_diff_grad(state: LossState, h: float) -> GradientSet:
         raise InputError("h must be positive")
 
     def total_at(params: AttentionParams) -> float:
-        shifted = LossState(
-            x=state.x,
-            params=params,
-            reference=state.reference,
-            eval_mask=state.eval_mask,
-            replace_mask=state.replace_mask,
-            weights=state.weights,
-            ref_cov=state.ref_cov,
-        )
-        return loss_from_state(shifted).total
+        output = attention_forward(state.x, params)[0]
+        return composite_loss(replace(state, params=params), output)[0].total
 
     mats = {"wq": state.params.wq, "wk": state.params.wk, "wv": state.params.wv}
     grads = {}
@@ -264,25 +216,16 @@ def finite_diff_grad(state: LossState, h: float) -> GradientSet:
     return GradientSet(d_wq=grads["wq"], d_wk=grads["wk"], d_wv=grads["wv"])
 
 
-@dataclass(frozen=True)
-class AdamState:
-    m_wq: np.ndarray
-    v_wq: np.ndarray
-    m_wk: np.ndarray
-    v_wk: np.ndarray
-    m_wv: np.ndarray
-    v_wv: np.ndarray
+class AdamState(NamedTuple):
+    """First and second moments, one array per parameter."""
+
+    m: GradientSet
+    v: GradientSet
 
     @classmethod
     def zeros(cls, params: AttentionParams) -> "AdamState":
-        return cls(
-            m_wq=np.zeros_like(params.wq),
-            v_wq=np.zeros_like(params.wq),
-            m_wk=np.zeros_like(params.wk),
-            v_wk=np.zeros_like(params.wk),
-            m_wv=np.zeros_like(params.wv),
-            v_wv=np.zeros_like(params.wv),
-        )
+        zeros = GradientSet(*(np.zeros_like(w) for w in (params.wq, params.wk, params.wv)))
+        return cls(m=zeros, v=zeros)
 
 
 def adam_step(
@@ -295,21 +238,16 @@ def adam_step(
     """One bias-corrected Adam update (step counter t starts at 1)."""
     if t < 1:
         raise InputError("Adam step counter t must be at least 1")
-
-    wq, m_wq, v_wq = adam_update(params.wq, grads.d_wq, state.m_wq, state.v_wq, lr, t)
-    wk, m_wk, v_wk = adam_update(params.wk, grads.d_wk, state.m_wk, state.v_wk, lr, t)
-    wv, m_wv, v_wv = adam_update(params.wv, grads.d_wv, state.m_wv, state.v_wv, lr, t)
-    return (
-        AttentionParams(wq=wq, wk=wk, wv=wv),
-        AdamState(m_wq=m_wq, v_wq=v_wq, m_wk=m_wk, v_wk=v_wk, m_wv=m_wv, v_wv=v_wv),
-    )
+    theta = (params.wq, params.wk, params.wv)
+    steps = [adam_update(*args, lr, t) for args in zip(theta, grads, state.m, state.v)]
+    new, m, v = zip(*steps)
+    return AttentionParams(*new), AdamState(m=GradientSet(*m), v=GradientSet(*v))
 
 
 class TrainResult(NamedTuple):
     params: AttentionParams
     history: tuple[EpochRecord, ...]
     refined: Dataset
-    provenance: np.ndarray
 
 
 def _self_mask_matrix(ds: Dataset, rate: float, seed: int) -> np.ndarray:
@@ -370,33 +308,30 @@ def train(
             x_in = np.where(self_mask, col_means[None, :], x)
             eval_mask = self_mask
             reference = observed_values
-            replace = provenance | self_mask
+            replace_mask = provenance | self_mask
         else:
             x_in = x
             eval_mask = provenance
             reference = truth_values
-            replace = provenance
+            replace_mask = provenance
 
         state = LossState(
             x=x_in,
             params=params,
             reference=reference,
             eval_mask=eval_mask,
-            replace_mask=replace,
+            replace_mask=replace_mask,
             weights=w,
             ref_cov=ref_cov,
         )
         output, lse, ax = attention_forward(x_in, params)
-        merged = np.where(replace, output, x_in)
-        parts = composite_loss(
-            merged, reference, eval_mask, params, w, ref_cov=ref_cov
-        )
+        parts, g_y = composite_loss(state, output)
         for name, value in parts._asdict().items():
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite {name} loss at epoch {epoch}")
         history.append(EpochRecord(epoch, *parts))
 
-        grads = grad_composite(state, output, lse, ax)
+        grads = grad_composite(state, g_y, lse, ax)
         params, adam = adam_step(params, grads, adam, cfg.lr, epoch)
 
         # Refined imputations (pre-update parameters) carry into next epoch.
@@ -409,12 +344,7 @@ def train(
                 break
 
     refined = ds.with_values(np.where(provenance, x, ds.values)).with_mask(ds.mask)
-    return TrainResult(
-        params=params,
-        history=tuple(history),
-        refined=refined,
-        provenance=provenance,
-    )
+    return TrainResult(params=params, history=tuple(history), refined=refined)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def test_criterion_02_exact_wilcoxon_matches_enumeration(capsys):
 
 def test_criterion_03_analytic_gradient_matches_finite_differences(capsys):
     from semimpute.attention import AttentionParams, attention_forward, init_params
-    from semimpute.training import LossState
+    from semimpute.training import LossState, composite_loss
 
     def away_from_kink(m, margin=0.05):
         # The L1 term is non-differentiable at 0; central differences are
@@ -141,7 +141,8 @@ def test_criterion_03_analytic_gradient_matches_finite_differences(capsys):
             replace_mask=replace,
             weights=LossWeights(alpha=1.0, beta=0.1, gamma=1e-3),
         )
-        analytic = grad_composite(state, *attention_forward(x, state.params))
+        output, lse, ax = attention_forward(x, state.params)
+        analytic = grad_composite(state, composite_loss(state, output)[1], lse, ax)
         numeric = finite_diff_grad(state, h=1e-5)
         for a, f in zip(analytic, numeric):
             rel = np.abs(a - f) / np.maximum(np.abs(f), 1e-8)

@@ -8,10 +8,10 @@ from semimpute.attention import (
     ROW_BLOCK,
     SHIFT_LIMIT,
     AttentionParams,
+    _shift_exp_inplace,
     attention_backward,
     attention_forward,
     init_params,
-    softmax_rows,
 )
 from semimpute.errors import InputError
 
@@ -34,6 +34,14 @@ def _reference_uniform_stream(seed, count, lo, hi):
         f = (u >> 11) * (1.0 / (1 << 53))
         out.append(lo + (hi - lo) * f)
     return np.array(out)
+
+
+def softmax_rows(m):
+    """Per-row softmax through the forward's exact-path shift; the dense oracle."""
+    s = np.array(m, dtype=np.float64)
+    _shift_exp_inplace(s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def _dense_weights(x, p):

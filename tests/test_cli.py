@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -547,6 +548,28 @@ def test_missing_input_file_is_reported(tmp_path, bivariate, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("column, token", [("health", "nan"), ("score", "inf")])
+def test_impute_rejects_non_finite_number_with_exit_2(tmp_path, capsys, column, token):
+    variables = _write_variables(
+        tmp_path,
+        [
+            {"name": "score", "kind": "continuous"},
+            {"name": "health", "kind": "ordinal", "levels": ["Poor", "Fair", "Good"]},
+        ],
+    )
+    rng = np.random.default_rng(3)
+    levels = ["Poor", "Fair", "Good"]
+    rows = [(f"{rng.normal():.4f}", levels[i % 3] if i % 4 else None) for i in range(30)]
+    rows[2] = (rows[2][0], token) if column == "health" else (token, rows[2][1])
+    csv_path = _write_csv(tmp_path, "bad.csv", ["score", "health"], rows)
+    args = ["impute", "--variables", variables, "--input", csv_path, "--epochs", "2"]
+    code = run([*args, "--out-prefix", str(tmp_path / "x")])
+    assert code == 2
+    assert f"not a finite number (row 2, column '{column}')" in capsys.readouterr().err
+    assert run([*args, "--lenient", "--out-prefix", str(tmp_path / "y")]) == 0
+    capsys.readouterr()
+
+
 def test_ordinal_labels_round_trip_through_impute(tmp_path):
     variables = _write_variables(
         tmp_path,
@@ -600,3 +623,11 @@ def test_write_cell_flags_matches_per_cell_oracle(tmp_path_factory, flags):
     _write_cell_flags(out / "got.csv", names, flags)
     _cell_flags_oracle(out / "want.csv", names, flags)
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def test_write_cell_flags_quotes_a_name_with_a_comma(tmp_path):
+    path = tmp_path / "flags.csv"
+    _write_cell_flags(path, ["a,b", "c"], np.array([[True, False], [False, True]]))
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    assert lines == [["a,b", "c"], ["1", "0"], ["0", "1"]]

@@ -60,6 +60,14 @@ def test_resolve_token_strict_rejects_junk_continuous():
         resolve_token("not-a-number", WEIGHT, row=3, strict=True)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("spec", [SEVERITY, WEIGHT], ids=["ordinal", "continuous"])
+def test_resolve_token_rejects_non_finite_numbers(token, spec):
+    with pytest.raises(ParseError, match=r"not a finite number \(row 3, column"):
+        resolve_token(token, spec, row=3, strict=True)
+    assert resolve_token(token, spec, row=3, strict=False) == (0.0, False)
+
+
 def _write_inputs(tmp_path, csv_text, specs_json):
     csv_path = tmp_path / "data.csv"
     csv_path.write_text(csv_text)
