@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 import sys
 
+from .errors import InputError
+
 THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -19,18 +21,34 @@ THREAD_VARS = (
 )
 
 
+def blas_threads() -> int:
+    """SEMIMPUTE_THREADS as a positive integer, 1 when it is not set."""
+    raw = os.environ.get("SEMIMPUTE_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise InputError(f"SEMIMPUTE_THREADS must be a positive integer, got {raw!r}")
+    return n
+
+
 def pin_threads() -> None:
-    """Default every BLAS backend to SEMIMPUTE_THREADS (itself default 1).
+    """Default every BLAS backend to ``blas_threads()``.
 
     Explicitly-set backend variables are respected.
     """
-    n = os.environ.get("SEMIMPUTE_THREADS", "1")
+    n = str(blas_threads())
     for var in THREAD_VARS:
         os.environ.setdefault(var, n)
 
 
 def main(argv: list[str] | None = None) -> int:
-    pin_threads()
+    try:
+        pin_threads()
+    except InputError as exc:
+        print(f"semimpute: {exc}", file=sys.stderr)
+        return 2
     from .cli import run
 
     return run(sys.argv[1:] if argv is None else argv)

@@ -31,16 +31,22 @@ from .errors import NumericalError
 INNER_CHUNK = 256
 
 
-def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def ordered_matmul(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for 2-D operands, the inner dimension summed in fixed chunks.
 
-    Inner dimensions of at most one chunk go to BLAS as one product.
+    Inner dimensions of at most one chunk go to BLAS as one product.  With
+    ``acc``, every chunk product is added to it in place, so calls over
+    consecutive INNER_CHUNK-aligned slices of the inner dimension give the
+    bits of one call over the whole.
     """
-    out = a[:, :INNER_CHUNK] @ b[:INNER_CHUNK]
-    for start in range(INNER_CHUNK, a.shape[1], INNER_CHUNK):
+    first = 0
+    if acc is None:
+        acc = a[:, :INNER_CHUNK] @ b[:INNER_CHUNK]
+        first = INNER_CHUNK
+    for start in range(first, a.shape[1], INNER_CHUNK):
         stop = start + INNER_CHUNK
-        out += a[:, start:stop] @ b[start:stop]
-    return out
+        acc += a[:, start:stop] @ b[start:stop]
+    return acc
 
 
 def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -79,6 +79,9 @@ class TrainConfig:
             raise InputError("self_mask_rate must lie in [0, 1)")
         if self.mode not in (MODE_BENCHMARK, MODE_SELF_SUPERVISED):
             raise InputError(f"unknown mode {self.mode!r}")
+        if self.mode == MODE_SELF_SUPERVISED and self.self_mask_rate == 0.0:
+            # No cell would be hidden, so no epoch would score any.
+            raise InputError("self-supervised training needs self_mask_rate above 0")
 
 
 class GradientSet(NamedTuple):

@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from semimpute import attention
 from semimpute.attention import (
     ROW_BLOCK,
     SHIFT_LIMIT,
     AttentionParams,
+    _each_block,
     _shift_exp_inplace,
     attention_backward,
     attention_forward,
@@ -212,6 +219,159 @@ def test_rows_far_below_their_bound_take_the_row_max():
     np.testing.assert_allclose(output, weights @ x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ax, weights @ x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lse, _dense_lse(x, p), rtol=1e-12, atol=0)
+
+
+# ROW_BLOCK +- 1, one and several score chunks with ragged ends, and the
+# widths at which a threaded BLAS splits the block score product.
+_WORKER_SHAPES = [
+    (ROW_BLOCK - 1, 6), (ROW_BLOCK + 1, 6), (600, 6), (1100, 6), (3000, 6), (300, 32), (300, 64),
+]
+_WORKER_PROBE = """
+import sys
+import numpy as np
+from semimpute import attention
+from semimpute.attention import attention_backward, attention_forward, init_params
+
+# The pool runs at every size, not only from POOL_MIN_ROWS rows on, and the
+# workers switch as often as the interpreter lets them, so they interleave.
+attention.POOL_MIN_ROWS = 0
+sys.setswitchinterval(1e-6)
+arrays = {}
+for workers in (1, 2, 3):
+    attention.WORKERS = workers
+    for n, d in %r:
+        rng = np.random.default_rng(n + d)
+        x = rng.normal(size=(n, d))
+        p = init_params(d, seed=d)
+        output, lse, ax = attention_forward(x, p)
+        grads = attention_backward(x, p, rng.normal(size=(n, d)), ax, lse)
+        for name, value in zip(("output", "lse", "ax", "d_wq", "d_wk", "d_wv"), (output, lse, ax, *grads)):
+            arrays[f"{workers}:{n}x{d}:{name}"] = value
+np.savez(sys.argv[1], **arrays)
+""" % (_WORKER_SHAPES,)
+
+
+def test_bytes_do_not_depend_on_the_worker_count(tmp_path, child_env):
+    out = tmp_path / "workers.npz"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_PROBE, str(out)],
+        cwd=tmp_path,
+        env=child_env(OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with np.load(out) as arrays:
+        got = {name: arrays[name].tobytes() for name in arrays.files}
+    assert len(got) == 3 * 6 * len(_WORKER_SHAPES)
+    differ = [
+        name for name in got if not name.startswith("1:") and got[name] != got["1:" + name.split(":", 1)[1]]
+    ]
+    assert not differ, f"differ from one worker: {differ}"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_non_finite_input_raises_at_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(attention, "WORKERS", workers)
+    monkeypatch.setattr(attention, "POOL_MIN_ROWS", 0)
+    rng = np.random.default_rng(6)
+    n, d = 5 * ROW_BLOCK + 3, 3
+    p = init_params(d, seed=1)
+    for bad in (np.nan, np.inf):
+        x = rng.normal(size=(n, d))
+        x[n - 2, 1] = bad
+        with pytest.raises(InputError, match="must be finite"):
+            attention_forward(x, p)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_earliest_failing_block_raises(monkeypatch, workers):
+    monkeypatch.setattr(attention, "WORKERS", workers)
+    monkeypatch.setattr(attention, "POOL_MIN_ROWS", 0)
+    failing = {2 * ROW_BLOCK, 3 * ROW_BLOCK, 5 * ROW_BLOCK}
+
+    def block(bufs, start):
+        if start == 2 * ROW_BLOCK:
+            time.sleep(0.05)  # with more workers, later blocks fail first
+        if start in failing:
+            raise InputError(f"block {start}")
+
+    with pytest.raises(InputError, match=f"^block {2 * ROW_BLOCK}$"):
+        _each_block(6 * ROW_BLOCK, lambda: None, block)
+
+
+_FORK_PROBE = """
+import os
+import signal
+import numpy as np
+from semimpute import attention
+from semimpute.attention import attention_forward, init_params
+
+attention.WORKERS = 2
+x = np.random.default_rng(0).normal(size=(attention.POOL_MIN_ROWS, 4))
+p = init_params(4, seed=1)
+before = attention_forward(x, p)[0]
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child left waiting on absent threads ends here
+    os._exit(0 if np.array_equal(attention_forward(x, p)[0], before) else 1)
+raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_a_forked_child_runs_the_pool_again(tmp_path, child_env):
+    # The child inherits the parent's pool object but none of its threads.
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE],
+        cwd=tmp_path,
+        env=child_env(OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _affinity_impute(workdir, child_env, cpus):
+    workdir.mkdir()
+    rng = np.random.default_rng(8)
+    n, d = 3000, 6
+    values = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+    lines = [",".join(f"v{j}" for j in range(d))]
+    for row in values:
+        lines.append(",".join("" if rng.random() < 0.1 else f"{v:.6f}" for v in row))
+    (workdir / "input.csv").write_text("\n".join(lines) + "\n")
+    specs = ",".join(f'{{"name": "v{j}", "kind": "continuous"}}' for j in range(d))
+    (workdir / "variables.json").write_text(f"[{specs}]")
+    argv = ["impute", "--variables", "variables.json", "--input", "input.csv", "--epochs", "2", "--tol", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "semimpute._entry", *argv, "--out-prefix", "out"],
+        cwd=workdir,
+        env=child_env(),
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in workdir.glob("out.*")}
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least two CPUs to run on",
+)
+def test_impute_artifacts_do_not_depend_on_the_cpus(tmp_path, child_env):
+    # Pinned to one CPU the child runs one attention worker, on all of them
+    # one worker per CPU; at 3000 rows the blocks go to the pool.
+    cpus = os.sched_getaffinity(0)
+    one = _affinity_impute(tmp_path / "one", child_env, {min(cpus)})
+    every = _affinity_impute(tmp_path / "every", child_env, cpus)
+    assert sorted(one) == ["out.imputed.csv", "out.provenance.csv", "out.report.json"]
+    assert one == every
 
 
 def test_forward_rejects_mismatched_width():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from semimpute._entry import main
 from semimpute.cli import _write_cell_flags, run
 from semimpute.dataset import VariableSpec, load_csv, load_variable_specs
 
@@ -214,6 +215,29 @@ def test_impute_rejects_truth_outside_benchmark(tmp_path, bivariate, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_self_supervised_impute_rejects_a_zero_self_mask_rate(tmp_path, bivariate, capsys):
+    variables, csv = bivariate
+    code = run(
+        [
+            "impute",
+            "--variables", variables,
+            "--input", csv,
+            "--self-mask-rate", "0",
+            "--out-prefix", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "self_mask_rate" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
+def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("SEMIMPUTE_THREADS", value)
+    assert main(["--version"]) == 2
+    assert "SEMIMPUTE_THREADS" in capsys.readouterr().err
 
 
 def test_evaluate_baseline_methods_produce_reports(tmp_path, bivariate):

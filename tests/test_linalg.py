@@ -27,6 +27,10 @@ def test_ordered_matmul_adds_chunks_in_order():
     want += a[:, c : 2 * c] @ b[c : 2 * c]
     want += a[:, 2 * c :] @ b[2 * c :]
     assert np.array_equal(ordered_matmul(a, b), want)
+    # Aligned slices added into one accumulator give the same bits.
+    acc = ordered_matmul(a[:, :c], b[:c])
+    assert ordered_matmul(a[:, c:], b[c:], acc) is acc
+    assert np.array_equal(acc, want)
 
 
 def test_ensure_pd_keeps_pd_input_ridges_singular_and_floors_indefinite():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from semimpute import attention
 from semimpute.attention import AttentionParams, attention_forward, init_params
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
@@ -326,23 +327,27 @@ def test_train_self_supervised_runs_without_truth():
     assert same.all()
 
 
-def test_train_peak_memory_is_linear_in_rows():
+def test_train_peak_memory_is_linear_in_rows(monkeypatch):
     # Attention works through blocks of ROW_BLOCK rows and never forms the
-    # n x n weights.  In units of one float64 (256, n) block, the backward's
-    # two (ROW_BLOCK, n) buffers take half a unit at 64 rows, and the rest
-    # is a few dozen n x d arrays.
+    # n x n weights.  In units of one float64 (256, n) block, each worker's
+    # backward holds one (ROW_BLOCK, n) buffer, a quarter unit at 64 rows,
+    # and one (ROW_BLOCK, SCORE_CHUNK) chunk, under a tenth at 3000 rows;
+    # the rest is a few dozen n x d arrays.  One and two workers are
+    # checked whatever the host's CPU count.
     n = 3000
     masked, _ = _missing_dataset(seed=19, n=n, d=6, rate=0.3)
     init = _mean_filled(masked)
     cfg = TrainConfig(max_epochs=3, rel_tol=0.0, seed=2)
-    tracemalloc.start()
-    try:
-        train(masked, init, None, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     unit = 8 * n * 256
-    assert peak < 1.2 * unit, f"peak {peak / unit:.2f} x 8 n 256 bytes"
+    for workers in (1, 2):
+        monkeypatch.setattr(attention, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            train(masked, init, None, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * unit, f"{workers} workers: peak {peak / unit:.2f} x 8 n 256 bytes"
 
 
 def test_train_stops_early_on_plateau():
@@ -356,6 +361,13 @@ def test_train_stops_early_on_plateau():
 def test_train_rejects_unknown_mode():
     with pytest.raises(InputError):
         TrainConfig(mode="banana")
+
+
+def test_self_supervised_training_needs_a_self_mask():
+    # A zero rate hides no cell, so no epoch would score any.
+    with pytest.raises(InputError, match="self_mask_rate"):
+        TrainConfig(mode="self_supervised", self_mask_rate=0.0)
+    assert TrainConfig(mode="benchmark", self_mask_rate=0.0).self_mask_rate == 0.0
 
 
 def test_impute_complete_dataset_is_a_warned_no_op():
