@@ -217,6 +217,10 @@ def _project(x: np.ndarray, p: AttentionParams):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.d:
         raise InputError(f"input must be n x {p.d}")
+    # Checked before the products, which would warn on NaN and inf first.
+    # Finite rows can still overflow a score; the blocks check those.
+    if not np.isfinite(x).all():
+        raise InputError("attention input must be finite")
     scale = 1.0 / np.sqrt(float(p.dk))
     return x, (x @ p.wq) * scale, x @ p.wk, scale
 

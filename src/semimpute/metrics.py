@@ -151,8 +151,69 @@ def _normal_two_sided_p(ranks: np.ndarray, w: float) -> float:
     return min(1.0, p)
 
 
+# The standard normal 97.5% quantile: the Newton start of _t975 and the
+# base of its large-df series.
+_Z975 = 1.959963984540054
+# From this many degrees of freedom on, _t975 takes the Cornish-Fisher
+# series through g4; its first omitted term is below 1e-16 relative there.
+T975_SERIES_DF = 2000
+
+
+def _abs_t_cdf(t: float, df: int, coef: np.ndarray) -> float:
+    """P(|T| <= t) for T ~ Student t with integer df >= 2 (A&S 26.7.3-4).
+
+    With theta = atan(t / sqrt(df)), the sum runs over ``coef[j] *
+    cos(theta)^(2j)``.  The powers are taken as ``exp(j * log1p(-y))``, y =
+    sin(theta)^2: a running product would scale the rounding error of
+    cos(theta)^2 by j.
+    """
+    y = t * t / (df + t * t)
+    s = float(coef @ np.exp(np.arange(coef.size) * math.log1p(-y)))
+    if df % 2 == 0:
+        return math.sqrt(y) * s
+    return (math.atan2(t, math.sqrt(df)) + math.sqrt(y * (1.0 - y)) * s) * (2.0 / math.pi)
+
+
+def _t975(df: int) -> float:
+    """97.5% quantile of Student's t with integer df >= 1, without scipy.
+
+    df = 1 is tan(0.475 pi).  Below T975_SERIES_DF, Newton steps on the
+    finite sum of ``_abs_t_cdf`` start from the normal quantile; the CDF is
+    concave there, so they rise to the root, and they stop once a step no
+    longer shrinks.  From T975_SERIES_DF on, the Cornish-Fisher expansion
+    (A&S 26.7.5) through g4.  Within 2e-14 relative of a 40-digit root.
+    """
+    if df == 1:
+        return math.tan(0.475 * math.pi)
+    if df >= T975_SERIES_DF:
+        x, x2 = _Z975, _Z975 * _Z975
+        g1 = x * (x2 + 1.0) / 4.0
+        g2 = x * ((5.0 * x2 + 16.0) * x2 + 3.0) / 96.0
+        g3 = x * (((3.0 * x2 + 19.0) * x2 + 17.0) * x2 - 15.0) / 384.0
+        g4 = x * ((((79.0 * x2 + 776.0) * x2 + 1482.0) * x2 - 1920.0) * x2 - 945.0) / 92160.0
+        return x + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+    # coef[j] = prod_{i<=j} (2i-1)/(2i) for even df, (2i)/(2i+1) for odd.
+    i = np.arange(1, (df - 2) // 2 + 1, dtype=np.float64)
+    odd = df % 2
+    coef = np.concatenate(([1.0], np.cumprod((2.0 * i - 1.0 + odd) / (2.0 * i + odd))))
+    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    t, last = _Z975, math.inf
+    while True:
+        density = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (_abs_t_cdf(t, df, coef) - 0.95) / (2.0 * density)
+        if not abs(step) < abs(last):
+            return t
+        t -= step
+        last = step
+
+
 def _mean_ci_t(pred: np.ndarray) -> tuple[float, float]:
-    """95% t-approximation interval for the mean of pred."""
+    """95% t-approximation interval for the mean of pred.
+
+    The t quantile is ``_t975(n - 1)``: A&S 26.7.3-4 sums by Newton below
+    T975_SERIES_DF degrees of freedom and Cornish-Fisher from there, within
+    2e-14 relative of the exact root, in math and numpy alone (no scipy).
+    """
     n = pred.size
     m = float(pred.mean())
     if n < 2:
@@ -160,11 +221,7 @@ def _mean_ci_t(pred: np.ndarray) -> tuple[float, float]:
     s = float(pred.std(ddof=1))
     if s == 0.0:
         return m, m
-    # scipy.stats.t.ppf calls this same function; scipy.special alone
-    # imports in about a third of the time scipy.stats takes.
-    from scipy.special import stdtrit
-
-    half = float(stdtrit(n - 1, 0.975)) * s / math.sqrt(n)
+    half = _t975(n - 1) * s / math.sqrt(n)
     return m - half, m + half
 
 

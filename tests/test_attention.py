@@ -271,7 +271,7 @@ def test_bytes_do_not_depend_on_the_worker_count(tmp_path, child_env):
     assert not differ, f"differ from one worker: {differ}"
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_non_finite_input_raises_at_every_worker_count(monkeypatch, workers):
     monkeypatch.setattr(attention, "WORKERS", workers)

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -518,6 +520,54 @@ def test_discover_requires_two_complete_rows(tmp_path, capsys):
     )
     assert code == 2
     assert "complete rows" in capsys.readouterr().err
+
+
+_BLOCKED_SCIPY_PROBE = """
+import json
+import sys
+
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from semimpute._entry import main
+
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def test_commands_need_no_scipy(tmp_path, bivariate, child_env):
+    variables, csv_path = bivariate
+    truth = _read(csv_path).decode().splitlines()
+    # Every fifth x left blank, for impute.
+    holes = [truth[0]] + ["," + line.split(",")[1] if i % 5 == 0 else line for i, line in enumerate(truth[1:])]
+    common = ["--variables", "variables.json", "--seed", "5"]
+    commands = [
+        ["impute", *common, "--input", "holes.csv", "--epochs", "3", "--tol", "0", "--out-prefix", "imp"],
+        *(
+            ["evaluate", *common, "--truth", "truth.csv", "--method", m, "--rate", "0.2", "--epochs", "3", "--out-prefix", m]
+            for m in ("sesa", "knn", "mean")
+        ),
+        ["discover", "--variables", "variables.json", "--input", "truth.csv", "--suggest-outcome", "y", "--out-prefix", "dag"],
+    ]
+    runs = {}
+    for mode in ("plain", "blocked"):
+        work = tmp_path / mode
+        work.mkdir()
+        (work / "variables.json").write_bytes(_read(variables))
+        (work / "truth.csv").write_text("\n".join(truth) + "\n")
+        (work / "holes.csv").write_text("\n".join(holes) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLOCKED_SCIPY_PROBE, mode, json.dumps(commands)],
+            cwd=work,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = (json.loads(proc.stdout), {f.name: f.read_bytes() for f in sorted(work.iterdir())})
+    assert runs["plain"][0] == [0] * len(commands)
+    assert len(runs["plain"][1]) > 3 + len(commands)
+    assert runs["blocked"] == runs["plain"]
 
 
 def test_config_file_fills_defaults_but_flags_win(tmp_path, bivariate):

@@ -2,11 +2,13 @@ import itertools
 import math
 import subprocess
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 from scipy.stats import rankdata
 from scipy.stats import t as t_dist
 
@@ -14,7 +16,8 @@ from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
 from semimpute.metrics import (
     EXACT_WILCOXON_MAX_N,
-    _mean_ci_t,
+    T975_SERIES_DF,
+    _t975,
     effect_size,
     evaluate,
     mape,
@@ -139,34 +142,54 @@ def test_wilcoxon_ci_matches_t_interval():
     assert result.ci_upper == pytest.approx(2.0 + half, abs=1e-12)
 
 
-def test_mean_ci_quantile_is_bit_identical_to_t_ppf():
-    rng = np.random.default_rng(8)
-    for n in [*range(2, 120), 257, 1000, 4801, 100_000]:
-        pred = rng.normal(size=n)
-        m, s = float(pred.mean()), float(pred.std(ddof=1))
-        half = float(t_dist.ppf(0.975, n - 1)) * s / math.sqrt(n)
-        assert _mean_ci_t(pred) == (m - half, m + half), n
+def test_t975_matches_stdtrit():
+    # Every df the finite sum serves, then the series on a stride to 1e5.
+    dfs = np.concatenate([np.arange(1, T975_SERIES_DF + 1), np.arange(T975_SERIES_DF, 10**5 + 1, 97)])
+    got = np.array([_t975(int(df)) for df in dfs])
+    rel = np.abs(got / stdtrit(dfs, 0.975) - 1.0)
+    assert rel.max() <= 5e-14, f"df {dfs[rel.argmax()]}: {rel.max():.2e}"
 
 
-_NO_STATS_PROBE = """
+def test_t975_matches_a_40_digit_root():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for df in [*range(1, 61), T975_SERIES_DF - 1, T975_SERIES_DF]:
+            nu = mpmath.mpf(df)
+            # P(T > t) = I_{nu / (nu + t^2)}(nu / 2, 1 / 2) / 2 = 0.025
+            root = mpmath.findroot(
+                lambda t: mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) - mpmath.mpf("0.05"),
+                mpmath.mpf(2),
+            )
+            assert abs(mpmath.mpf(_t975(df)) / root - 1) <= 2e-14, df
+
+
+@given(st.integers(1, 10**6 - 1))
+@example(1)
+@example(T975_SERIES_DF - 1)
+@settings(max_examples=200, deadline=None)
+def test_t975_falls_with_df_and_stays_above_the_normal_quantile(df):
+    assert _t975(df) > _t975(df + 1) > NormalDist().inv_cdf(0.975)
+
+
+_NO_SCIPY_PROBE = """
 import sys
 from semimpute.metrics import wilcoxon_signed_rank
 result = wilcoxon_signed_rank([1.0, 2.0, 3.5, 0.25], [0.0, 0.5, 1.0, 1.0])
 assert result.ci_lower < result.ci_upper, result
-print(sorted(m for m in ("scipy.special", "scipy.stats") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_wilcoxon_does_not_import_scipy_stats(tmp_path, child_env):
+def test_wilcoxon_imports_no_scipy(tmp_path, child_env):
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_STATS_PROBE],
+        [sys.executable, "-c", _NO_SCIPY_PROBE],
         cwd=tmp_path,
         env=child_env(),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['scipy.special']"
+    assert proc.stdout.strip() == "[]"
 
 
 def _brute_force_two_sided_p(diffs):
