@@ -2,38 +2,44 @@
 
 Each imputed row is rewritten as a convex combination of (projected) rows of
 the current matrix, so similar records inform each other's missing cells.
-The n x n attention weights are never formed whole: forward and backward
-work through blocks of ``ROW_BLOCK`` query rows.  Every block writes only
-its own rows and every sum over rows runs after the loop, so the blocks are
-independent.  From ``POOL_MIN_ROWS`` rows on they are shared by a pool of
-``WORKERS`` threads, one per CPU share, each taking the next block left when
-it is free; BLAS runs on ``SEMIMPUTE_THREADS`` threads inside each.  A
-block's arithmetic does not depend on which worker runs it, so the bytes
-are the same for any worker count.  Each worker holds one (ROW_BLOCK, n)
-buffer, and in the backward also one (ROW_BLOCK, SCORE_CHUNK) buffer, so
-memory grows as WORKERS * ROW_BLOCK * n; time still grows as n squared, and
-what costs is the number of passes over each (ROW_BLOCK, n) block.
+The n x n attention weights are never formed, nor one row's n of them:
+forward and backward work through blocks of ``ROW_BLOCK`` query rows, and
+within a block through chunks of ``SCORE_CHUNK`` key rows.  Every block
+writes only its own rows and every sum over rows runs after the loop, so
+the blocks are independent.  From ``POOL_MIN_ROWS`` rows on they are shared
+by a pool of ``WORKERS`` threads, one per CPU share, each taking the next
+block left when it is free; BLAS runs on ``SEMIMPUTE_THREADS`` threads
+inside each.  A block's arithmetic does not depend on which worker runs it,
+so the bytes are the same for any worker count.  Each worker holds one
+(ROW_BLOCK, SCORE_CHUNK) tile in the forward and two in the backward,
+whatever n is, so the n x d arrays set the memory (Rabe & Staats 2021);
+time still grows as n squared, and what costs is the number of passes over
+each tile.
 
 The 1/sqrt(k) score scale is folded into q, and the value map is applied
 after the weights: the output is ``(a @ x) @ wv``.  The forward shifts row
 i by the bound ``c_i = |q_i| max_j |k_j|`` instead of its row max, folded
 into the score product as ``exp([q, -c] @ [k, 1]^T)``, so no score exceeds
 the shift and no check or max is needed; one product with ``[x, 1]`` then
-gives ``a @ x`` and the row sums.  That is three passes per block: product,
-exp, product.  A block with a bound past ``SHIFT_LIMIT`` or not finite
-takes the exact path instead (finiteness check, row max, shift).  The
+gives ``a @ x`` and the row sums.  With the shift fixed before any score is
+seen, the sums over key chunks need no rescaling: each chunk is three
+passes, product, exp, product, and its sums are added in
+``ordered_matmul``'s chunk order, so they have the bits of one product over
+all n keys.  A block with a bound past ``SHIFT_LIMIT`` or not finite takes
+the exact path instead: a first pass over the chunks checks that every
+score is finite and takes the row max, and a second shifts by it.  The
 forward returns the output, one log-normalizer per row, ``lse = log sum_j
-exp(score_ij)``, and ``a @ x``.
+exp(score_ij)``, and ``a @ x``.  ``[x, 1]``, ``[q, -c]`` and ``[k, 1]`` are
+written once, and x, q and k are views of them.
 
-The backward rebuilds each block's weights whole as ``exp([q, -lse] @ [k,
-1]^T)`` (one product, one exp).  The score gradient ``a * ([g_y wv^T, -D]
-@ [x, 1]^T)``, with ``D = rowsum((g_y wv^T) * (a @ x))``, is formed
-``SCORE_CHUNK`` key columns at a time (one product, one multiply); this is
-the FlashAttention-2 form (Dao 2023).  Each chunk is contracted with its
-rows of x at once, in ``ordered_matmul``'s chunk order, so the block's
-``d_s @ x`` has the same bits as one product over all n columns.  The
-parameter gradients follow from that after the loop, so the blocks hold no
-sums over rows and no k x n accumulators.
+The backward rebuilds each chunk of a block's weights as ``exp([q, -lse] @
+[k, 1]^T)`` (one product, one exp) next to its score gradient ``a * ([g_y
+wv^T, -D] @ [x, 1]^T)``, with ``D = rowsum((g_y wv^T) * (a @ x))`` (one
+product, one multiply); this is the FlashAttention-2 form (Dao 2023).  Each
+chunk is contracted with its rows of x at once, so the block's ``d_s @ x``
+has the same bits as one product over all n columns.  The parameter
+gradients follow from that after the loop, so the blocks hold no sums over
+rows and no k x n accumulators.
 """
 
 from __future__ import annotations
@@ -60,11 +66,11 @@ ROW_BLOCK = 64
 # [exp(-2c), 1] and stays a normal double.  Larger or non-finite bounds
 # take the row max.
 SHIFT_LIMIT = 300.0
-# Key columns of the backward's score gradient per chunk.  A fixed width
-# keeps the bytes free of the worker count: a chunked product can differ
-# from the whole one in its last bits.  A multiple of INNER_CHUNK, so the
-# contraction with x adds the same pieces in the same order as one
-# ordered_matmul over all columns; up to this many rows there is one chunk.
+# Key rows per chunk of a block, in the forward and the backward.  A fixed
+# width keeps the bytes free of the worker count: a chunked product can
+# differ from the whole one in its last bits.  A multiple of INNER_CHUNK, so
+# the contraction with x adds the same pieces in the same order as one
+# ordered_matmul over all keys; up to this many rows there is one chunk.
 SCORE_CHUNK = 4 * INNER_CHUNK
 
 
@@ -202,18 +208,13 @@ def init_params(d: int, seed: int, k: int | None = None) -> AttentionParams:
     return AttentionParams(wq=draw(d, k), wk=draw(d, k), wv=draw(d, d))
 
 
-def _shift_exp_inplace(s: np.ndarray) -> np.ndarray:
-    """Write ``exp(s - rowmax(s))`` over ``s``; return the row maxima."""
-    if not np.all(np.isfinite(s)):
-        raise InputError("softmax input must be finite")
-    row_max = s.max(axis=-1, keepdims=True)
-    s -= row_max
-    np.exp(s, out=s)
-    return row_max
-
-
 def _project(x: np.ndarray, p: AttentionParams):
-    """``x`` as float64 and its projections; q carries the 1/sqrt(k) scale."""
+    """``[x, 1]``, ``[q, ?]`` and ``[k, 1]``, each written once; q carries the 1/sqrt(k) scale.
+
+    x, q and k are the views of their first columns.  The last column of q's
+    array is left to the caller: the forward's ``-bound``, the backward's
+    ``-lse``.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.d:
         raise InputError(f"input must be n x {p.d}")
@@ -221,12 +222,35 @@ def _project(x: np.ndarray, p: AttentionParams):
     # Finite rows can still overflow a score; the blocks check those.
     if not np.isfinite(x).all():
         raise InputError("attention input must be finite")
-    scale = 1.0 / np.sqrt(float(p.dk))
-    return x, (x @ p.wq) * scale, x @ p.wk, scale
+    (n, d), dk = x.shape, p.dk
+    scale = 1.0 / np.sqrt(float(dk))
+    x_aug, q_aug, k_aug = np.empty((n, d + 1)), np.empty((n, dk + 1)), np.empty((n, dk + 1))
+    x_aug[:, :d] = x
+    x_aug[:, d] = k_aug[:, dk] = 1.0
+    np.matmul(x_aug[:, :d], p.wq, out=q_aug[:, :dk])
+    q_aug[:, :dk] *= scale
+    np.matmul(x_aug[:, :d], p.wk, out=k_aug[:, :dk])
+    return x_aug, q_aug, k_aug, scale
 
 
 def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", m, m))
+
+
+def _key_chunks(n: int) -> list[slice]:
+    return [slice(c0, c0 + SCORE_CHUNK) for c0 in range(0, n, SCORE_CHUNK)]
+
+
+def _chunk_product(buf: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right.T`` written into a contiguous (rows, cols) view of the flat ``buf``."""
+    # A contiguous view: matmul copies into a strided out.
+    out = buf[: left.shape[0] * right.shape[0]].reshape(left.shape[0], -1)
+    return np.matmul(left, right.T, out=out)
+
+
+def _buffer(n: int) -> np.ndarray:
+    """One flat (ROW_BLOCK, SCORE_CHUNK) tile, whatever n is."""
+    return np.empty(min(n, ROW_BLOCK) * min(n, SCORE_CHUNK))
 
 
 def attention_forward(x: np.ndarray, p: AttentionParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,31 +262,44 @@ def attention_forward(x: np.ndarray, p: AttentionParams) -> tuple[np.ndarray, np
     which ``attention_backward`` uses to rebuild the weights; the third is
     ``a @ x``, of which the output is ``(a @ x) @ wv``.
     """
-    x, q, k, _ = _project(x, p)
-    n, d = x.shape
+    x_aug, q_aug, k_aug, _ = _project(x, p)
+    n, d = x_aug.shape[0], x_aug.shape[1] - 1
+    q, k = q_aug[:, :-1], k_aug[:, :-1]
     bound = _row_norms(q) * _row_norms(k).max(initial=0.0)
-    ones = np.ones((n, 1))
-    q_aug, k_aug = np.hstack([q, -bound[:, None]]), np.hstack([k, ones])
-    x_aug = np.hstack([x, ones])
-    ax = np.empty_like(x)
+    q_aug[:, -1] = -bound
+    chunks = _key_chunks(n)
+    ax = np.empty((n, d))
     lse = np.empty(n)
 
     def block(buf, start):
         rows = slice(start, start + ROW_BLOCK)
         shift = bound[rows]
-        e = buf[: shift.shape[0]]
-        if np.all(shift <= SHIFT_LIMIT):
-            np.exp(np.matmul(q_aug[rows], k_aug.T, out=e), out=e)
-        else:
-            np.matmul(q[rows], k.T, out=e)
-            shift = _shift_exp_inplace(e)[:, 0]
-        # One product gives the weighted rows and, in its last column, the
-        # row sums; normalize the (rows, d) result, not the (rows, n) weights.
-        sums = ordered_matmul(e, x_aug)
+        exact = not np.all(shift <= SHIFT_LIMIT)
+        if exact:
+            # First pass: every score finite, and the row max to shift by.
+            shift = np.full(shift.shape, -np.inf)
+            for cols in chunks:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    s = _chunk_product(buf, q[rows], k[cols])
+                if not np.isfinite(s).all():
+                    raise InputError("attention scores must be finite")
+                np.maximum(shift, s.max(axis=1), out=shift)
+        sums = None
+        for cols in chunks:
+            if exact:
+                e = _chunk_product(buf, q[rows], k[cols])
+                e -= shift[:, None]
+            else:
+                e = _chunk_product(buf, q_aug[rows], k_aug[cols])
+            np.exp(e, out=e)
+            # One product gives the weighted rows and, in its last column,
+            # the row sums; the chunks add up in ordered_matmul's order.
+            sums = ordered_matmul(e, x_aug[cols], sums)
+        # Normalize the (rows, d) result, not the weights.
         ax[rows] = sums[:, :d] / sums[:, d:]
         lse[rows] = shift + np.log(sums[:, d])
 
-    _each_block(n, lambda: np.empty((min(n, ROW_BLOCK), n)), block)
+    _each_block(n, lambda: _buffer(n), block)
     return ax @ p.wv, lse, ax
 
 
@@ -276,45 +313,36 @@ def attention_backward(
     """Gradients w.r.t. (wq, wk, wv) of sum(g_y * attention_forward(x, p)[0]).
 
     ``lse`` and ``ax`` are what ``attention_forward(x, p)`` returned.  Each
-    row block's weights are rebuilt from ``lse`` rather than stored, and its
-    score gradient is formed SCORE_CHUNK columns at a time and contracted
-    with x at once, ``d_s_x = d_s @ x``; the sums over rows then run in
-    ``ordered_matmul`` after the loop.
+    row block's weights are rebuilt from ``lse`` rather than stored, one
+    SCORE_CHUNK of key columns at a time next to its score gradient, which
+    is contracted with x at once, ``d_s_x = d_s @ x``; the sums over rows
+    then run in ``ordered_matmul`` after the loop.
     """
-    x, q, k, scale = _project(x, p)
-    n = x.shape[0]
-    ones = np.ones((n, 1))
+    x_aug, q_aug, k_aug, scale = _project(x, p)
+    n, d = x_aug.shape[0], x_aug.shape[1] - 1
+    x, q = x_aug[:, :d], q_aug[:, :-1]
+    q_aug[:, -1] = -lse
     # Softmax backward per row: dS = A * (dA - rowsum(dA * A)), where
     # dA = (g_y wv^T) x^T and rowsum(dA * A) = rowsum((g_y wv^T) * ax).
-    g_ax = g_y @ p.wv.T
-    d_out = np.einsum("ij,ij->i", g_ax, ax)[:, None]
-    q_aug, k_aug = np.hstack([q, -lse[:, None]]), np.hstack([k, ones])
-    g_aug, x_aug = np.hstack([g_ax, -d_out]), np.hstack([x, ones])
-    d_s_x = np.empty_like(x)
-
-    def buffers():
-        m = min(n, ROW_BLOCK)
-        return np.empty((m, n)), np.empty(m * min(n, SCORE_CHUNK))
+    g_aug = np.empty((n, d + 1))
+    g_ax = np.matmul(g_y, p.wv.T, out=g_aug[:, :d])
+    g_aug[:, d] = -np.einsum("ij,ij->i", g_ax, ax)
+    chunks = _key_chunks(n)
+    d_s_x = np.empty((n, d))
 
     def block(bufs, start):
         a_buf, d_s_buf = bufs
         rows = slice(start, start + ROW_BLOCK)
-        q_aug_rows = q_aug[rows]
-        m = q_aug_rows.shape[0]
-        a = a_buf[:m]
-        np.exp(np.matmul(q_aug_rows, k_aug.T, out=a), out=a)
         acc = None
-        for c0 in range(0, n, SCORE_CHUNK):
-            cols = slice(c0, c0 + SCORE_CHUNK)
-            key_rows = x_aug[cols]
-            # A contiguous (m, width) view: matmul copies into a strided out.
-            d_s = d_s_buf[: m * key_rows.shape[0]].reshape(m, -1)
-            np.matmul(g_aug[rows], key_rows.T, out=d_s)
-            d_s *= a[:, cols]
+        for cols in chunks:
+            a = _chunk_product(a_buf, q_aug[rows], k_aug[cols])
+            np.exp(a, out=a)
+            d_s = _chunk_product(d_s_buf, g_aug[rows], x_aug[cols])
+            d_s *= a
             acc = ordered_matmul(d_s, x[cols], acc)
         d_s_x[rows] = acc
 
-    _each_block(n, buffers, block)
+    _each_block(n, lambda: (_buffer(n), _buffer(n)), block)
     # s = q k^T with q = scale * x wq and k = x wk, so d_wq = scale x^T dS k
     # = scale (x^T d_s_x) wk and d_wk = x^T dS^T q = d_s_x^T q.
     return (

@@ -12,7 +12,7 @@ attention works through blocks of rows is described in ``attention``.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -193,30 +193,6 @@ def grad_composite(
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name}")
     return grads
-
-
-def finite_diff_grad(state: LossState, h: float) -> GradientSet:
-    """Central-difference gradient oracle over every parameter coordinate."""
-    if h <= 0:
-        raise InputError("h must be positive")
-
-    def total_at(params: AttentionParams) -> float:
-        output = attention_forward(state.x, params)[0]
-        return composite_loss(replace(state, params=params), output)[0].total
-
-    mats = {"wq": state.params.wq, "wk": state.params.wk, "wv": state.params.wv}
-    grads = {}
-    for name, mat in mats.items():
-        g = np.zeros_like(mat)
-        for idx in np.ndindex(mat.shape):
-            bumped = {k: v.copy() for k, v in mats.items()}
-            bumped[name][idx] = mat[idx] + h
-            hi = total_at(AttentionParams(**bumped))
-            bumped[name][idx] = mat[idx] - h
-            lo = total_at(AttentionParams(**bumped))
-            g[idx] = (hi - lo) / (2.0 * h)
-        grads[name] = g
-    return GradientSet(d_wq=grads["wq"], d_wk=grads["wk"], d_wv=grads["wv"])
 
 
 class AdamState(NamedTuple):

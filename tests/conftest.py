@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -6,7 +7,10 @@ import pytest
 
 import semimpute
 from semimpute._entry import THREAD_VARS
+from semimpute.attention import AttentionParams, attention_forward
 from semimpute.dataset import Dataset, VariableSpec
+from semimpute.errors import InputError
+from semimpute.training import GradientSet, composite_loss
 
 
 def _child_env(**overrides):
@@ -114,3 +118,33 @@ def _dag_sample(seed, d=5, n=1000, edge_prob=0.8, min_scaled=0.4):
 def make_dag_data():
     """Sample a random linear Gaussian DAG; see _dag_sample."""
     return _dag_sample
+
+
+def _finite_diff_grad(state, h):
+    """Central-difference gradient of the composite loss over every parameter coordinate."""
+    if h <= 0:
+        raise InputError("h must be positive")
+
+    def total_at(params):
+        output = attention_forward(state.x, params)[0]
+        return composite_loss(dataclasses.replace(state, params=params), output)[0].total
+
+    mats = {"wq": state.params.wq, "wk": state.params.wk, "wv": state.params.wv}
+    grads = {}
+    for name, mat in mats.items():
+        g = np.zeros_like(mat)
+        for idx in np.ndindex(mat.shape):
+            bumped = {k: v.copy() for k, v in mats.items()}
+            bumped[name][idx] = mat[idx] + h
+            hi = total_at(AttentionParams(**bumped))
+            bumped[name][idx] = mat[idx] - h
+            lo = total_at(AttentionParams(**bumped))
+            g[idx] = (hi - lo) / (2.0 * h)
+        grads[name] = g
+    return GradientSet(d_wq=grads["wq"], d_wk=grads["wk"], d_wv=grads["wv"])
+
+
+@pytest.fixture
+def finite_diff_grad():
+    """The gradient oracle of acceptance criterion 3; see _finite_diff_grad."""
+    return _finite_diff_grad

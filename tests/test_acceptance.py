@@ -22,7 +22,7 @@ from semimpute.fiml import EmConfig, conditional_impute, em_fit
 from semimpute.metrics import effect_size, rmse, wilcoxon_signed_rank
 from semimpute.missingness import apply_mcar
 from semimpute.notears import acyclicity_h, notears_fit, threshold_dag
-from semimpute.training import LossWeights, TrainConfig, finite_diff_grad, grad_composite, impute
+from semimpute.training import LossWeights, TrainConfig, grad_composite, impute
 
 TWO_CYCLE_H = 1.0861612696304874
 
@@ -110,7 +110,7 @@ def test_criterion_02_exact_wilcoxon_matches_enumeration(capsys):
     )
 
 
-def test_criterion_03_analytic_gradient_matches_finite_differences(capsys):
+def test_criterion_03_analytic_gradient_matches_finite_differences(capsys, finite_diff_grad):
     from semimpute.attention import AttentionParams, attention_forward, init_params
     from semimpute.training import LossState, composite_loss
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis.extra import numpy as hnp
 from semimpute import attention
 from semimpute.attention import (
     ROW_BLOCK,
+    SCORE_CHUNK,
     SHIFT_LIMIT,
     AttentionParams,
     _each_block,
-    _shift_exp_inplace,
     attention_backward,
     attention_forward,
     init_params,
@@ -44,9 +45,12 @@ def _reference_uniform_stream(seed, count, lo, hi):
 
 
 def softmax_rows(m):
-    """Per-row softmax through the forward's exact-path shift; the dense oracle."""
+    """Per-row softmax shifted by the row max, as the forward's exact path; the dense oracle."""
     s = np.array(m, dtype=np.float64)
-    _shift_exp_inplace(s)
+    if not np.all(np.isfinite(s)):
+        raise InputError("softmax input must be finite")
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
 
@@ -207,6 +211,43 @@ def test_row_blocks_match_dense_attention(n, d, seed, past_bound):
             attention_forward(x_bad, p)
 
 
+def test_exact_path_across_key_chunks_matches_dense_attention():
+    # Three key chunks, the last one narrow.  One row is stretched past
+    # SHIFT_LIMIT, so its block finds the row max over every chunk before
+    # it exponentiates any; the other blocks take the bound shift.
+    n, d = 2 * SCORE_CHUNK + 40, 3
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(n, d))
+    p = init_params(d, seed=12)
+    r = 5 * ROW_BLOCK + 7
+    g_y = rng.normal(size=(n, d)) / _stretch_past_bound(x, p, r) ** 2
+    bound = _bound(x, p)
+    assert bound[r] > SHIFT_LIMIT and (bound[: 5 * ROW_BLOCK] <= SHIFT_LIMIT).all()
+    weights = _dense_weights(x, p)
+    output, lse, ax = attention_forward(x, p)
+    np.testing.assert_allclose(output, weights @ (x @ p.wv), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ax, weights @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lse, _dense_lse(x, p), rtol=1e-12, atol=0)
+    backward = attention_backward(x, p, g_y, ax, lse)
+    for got, dense in zip(backward, _dense_backward(x, p, g_y)):
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scores_that_overflow_in_the_last_key_chunk_raise():
+    # x is finite, but the last row's score with itself overflows: every
+    # block takes the exact path, and the last one meets inf in its last
+    # key chunk, with no warning from the score product.
+    n, d = 2 * SCORE_CHUNK + 40, 3
+    x = np.random.default_rng(13).normal(size=(n, d))
+    x[-1] *= 1e160
+    p = init_params(d, seed=13)
+    with np.errstate(over="ignore"):
+        assert np.isinf(_bound(x, p)).all()
+    with pytest.raises(InputError, match="must be finite"):
+        attention_forward(x, p)
+
+
 def test_rows_far_below_their_bound_take_the_row_max():
     # With wk = -wq in one dimension, row 0 scores 30 * x_j against a bound
     # of 900: shifted by the bound, every weight of the row would underflow
@@ -221,10 +262,12 @@ def test_rows_far_below_their_bound_take_the_row_max():
     np.testing.assert_allclose(lse, _dense_lse(x, p), rtol=1e-12, atol=0)
 
 
-# ROW_BLOCK +- 1, one and several score chunks with ragged ends, and the
-# widths at which a threaded BLAS splits the block score product.
+# ROW_BLOCK +- 1, one and several key chunks with ragged ends (the last one
+# narrow, and 21 columns over three chunks), and the widths at which a
+# threaded BLAS splits the block score product.
 _WORKER_SHAPES = [
-    (ROW_BLOCK - 1, 6), (ROW_BLOCK + 1, 6), (600, 6), (1100, 6), (3000, 6), (300, 32), (300, 64),
+    (ROW_BLOCK - 1, 6), (ROW_BLOCK + 1, 6), (600, 6), (1100, 6), (2 * SCORE_CHUNK + 40, 6), (3000, 6),
+    (2 * SCORE_CHUNK + 52, 21), (300, 32), (300, 64),
 ]
 _WORKER_PROBE = """
 import sys
@@ -269,6 +312,36 @@ def test_bytes_do_not_depend_on_the_worker_count(tmp_path, child_env):
         name for name in got if not name.startswith("1:") and got[name] != got["1:" + name.split(":", 1)[1]]
     ]
     assert not differ, f"differ from one worker: {differ}"
+
+
+def _attention_peak(x, p, g_y):
+    """Bytes that one forward and backward allocate above what is held when they start."""
+    tracemalloc.start()
+    try:
+        _, lse, ax = attention_forward(x, p)
+        attention_backward(x, p, g_y, ax, lse)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_an_extra_worker_costs_a_constant(monkeypatch):
+    # Each worker holds one (ROW_BLOCK, SCORE_CHUNK) tile in the forward
+    # and two in the backward, whatever n is, so two more workers may add
+    # at most two backward tiles each; 64 KiB covers their small per-block
+    # arrays.  An n-wide buffer per worker would add 3 MiB each at n = 6000.
+    n, d = 6000, 4
+    rng = np.random.default_rng(14)
+    x, g_y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    p = init_params(d, seed=14)
+    peaks = {}
+    for workers in (3, 1, 3):  # the first call starts the pool's threads
+        monkeypatch.setattr(attention, "WORKERS", workers)
+        peaks[workers] = _attention_peak(x, p, g_y)
+    tile = ROW_BLOCK * SCORE_CHUNK * 8
+    extra = peaks[3] - peaks[1]
+    assert extra < 2 * 2 * tile + 64 * 1024, f"two more workers added {extra / 2**20:.2f} MiB"
 
 
 @pytest.mark.filterwarnings("error")
