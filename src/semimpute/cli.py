@@ -43,16 +43,16 @@ from .training import (
 
 # Defaults of the flags that ``_train_flags`` gives impute and evaluate.
 TRAIN_DEFAULTS: dict = {
-    "alpha": 1.0,
-    "beta": 0.1,
-    "gamma": 1e-3,
-    "lr": 1e-3,
-    "epochs": 500,
-    "tol": 1e-5,
-    "self_mask_rate": 0.1,
-    "seed": 0,
-    "em_max_iter": 500,
-    "em_tol": 1e-6,
+    "alpha": LossWeights.alpha,
+    "beta": LossWeights.beta,
+    "gamma": LossWeights.gamma,
+    "lr": TrainConfig.lr,
+    "epochs": TrainConfig.max_epochs,
+    "tol": TrainConfig.rel_tol,
+    "self_mask_rate": TrainConfig.self_mask_rate,
+    "seed": TrainConfig.seed,
+    "em_max_iter": EmConfig.max_iter,
+    "em_tol": EmConfig.tol,
     "init_moments": "implied",
 }
 
@@ -60,7 +60,7 @@ DEFAULTS: dict[str, dict] = {
     "impute": {
         "sem": None,
         "truth": None,
-        "mode": MODE_SELF_SUPERVISED,
+        "mode": TrainConfig.mode,
         **TRAIN_DEFAULTS,
         "lenient": False,
     },
@@ -77,10 +77,10 @@ DEFAULTS: dict[str, dict] = {
     },
     "discover": {
         "threshold": 0.3,
-        "lambda1": 0.1,
-        "h_tol": 1e-8,
-        "inner_lr": 1e-2,
-        "inner_steps": 500,
+        "lambda1": NotearsConfig.lambda1,
+        "h_tol": NotearsConfig.h_tol,
+        "inner_lr": NotearsConfig.inner_lr,
+        "inner_steps": NotearsConfig.inner_steps,
         "suggest_outcome": None,
         "lenient": False,
     },
@@ -180,6 +180,27 @@ def _train_flags(p) -> None:
     p.add_argument("--init-moments", choices=["implied", "saturated"])
 
 
+def _check_file_value(key: str, value, default) -> None:
+    """Reject a config-file value whose type differs from the default's.
+
+    A float option takes an int or a float, an int option an int, a flag a
+    bool, and any other option a string (or null where its default is None).
+    Values are never converted.
+    """
+    if isinstance(default, bool):
+        kinds, wanted = (bool,), "true or false"
+    elif isinstance(default, float):
+        kinds, wanted = (int, float), "a number"
+    elif isinstance(default, int):
+        kinds, wanted = (int,), "an integer"
+    elif default is None:
+        kinds, wanted = (str, type(None)), "a string or null"
+    else:
+        kinds, wanted = (str,), "a string"
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise InputError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge precedence: command-line flag, then config file, then default."""
     command = args.command
@@ -199,6 +220,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     flag_values = vars(args)
     keys = set(DEFAULTS[command])
     keys.update(k for k in flag_values if k not in ("command", "config"))
+    unknown = set(file_values) - keys
+    if unknown:
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in file_values.items():
+        _check_file_value(key, value, DEFAULTS[command].get(key))
     for key in sorted(keys):
         flag = flag_values.get(key)
         if flag is not None:
@@ -207,9 +233,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             options[key] = file_values[key]
         else:
             options[key] = DEFAULTS[command].get(key)
-    unknown = set(file_values) - keys
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(command=command, options=options)
 
 
@@ -497,7 +520,6 @@ def cmd_discover(cfg: RunConfig) -> int:
         h_tol=cfg["h_tol"],
         inner_lr=cfg["inner_lr"],
         inner_steps=cfg["inner_steps"],
-        threshold=cfg["threshold"],
     )
     graph = notears_fit(ds, ncfg)
     display = threshold_dag(graph, cfg["threshold"])

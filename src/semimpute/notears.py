@@ -19,6 +19,9 @@ from .sem import Equation, SemSpec
 # Acyclicity tolerance used when verifying an already-thresholded graph.
 DAG_TOL = 1e-12
 
+# Largest quadratic penalty weight the augmented Lagrangian escalates to.
+RHO_MAX = 1e16
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -52,21 +55,17 @@ class WeightedGraph:
 class NotearsConfig:
     lambda1: float = 0.1
     h_tol: float = 1e-8
-    rho_max: float = 1e16
     inner_lr: float = 1e-2
     inner_steps: int = 500
-    threshold: float = 0.3
 
     def __post_init__(self):
         if self.lambda1 < 0:
             raise InputError("lambda1 must be non-negative")
-        for name in ("h_tol", "rho_max", "inner_lr"):
+        for name in ("h_tol", "inner_lr"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
         if self.inner_steps < 1:
             raise InputError("inner_steps must be at least 1")
-        if self.threshold < 0:
-            raise InputError("threshold must be non-negative")
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -187,7 +186,7 @@ def notears_fit(ds: Dataset, cfg: NotearsConfig = NotearsConfig()) -> WeightedGr
     # inner solver can only flatten the weights to stay feasible. Stop
     # escalating there and return the intact iterate as the best effort.
     rho_stable = 2.0 * fit_zero / (d * cfg.inner_lr**2) ** 2
-    rho_cap = min(cfg.rho_max, rho_stable)
+    rho_cap = min(RHO_MAX, rho_stable)
     converged = False
     for _ in range(100):
         accepted = False

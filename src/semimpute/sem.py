@@ -1,20 +1,21 @@
-"""Path-model specification, implied moments, two-stage fitting, fit indices.
+"""Path-model specification, implied moments and two-stage fitting.
 
 Models are observed-variable regressions written one equation per line
 ("Y ~ X1 + X2"); fitting is two-stage: saturated moments by EM, then
-per-equation generalized least squares on those moments.
+per-equation generalized least squares on those moments.  The fit carries
+the model's implied moments, made Cholesky-valid once, for the fill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import NumericalError, ParseError, SpecError
-from .fiml import EmConfig, MvnParams, em_fit, loglik_observed
+from .fiml import EmConfig, EmResult, MvnParams, em_fit, loglik_observed
 from .linalg import ensure_pd
 
 PSI_FLOOR = 1e-12
@@ -50,10 +51,6 @@ class SemSpec:
                     raise SpecError(f"predictor {p!r} not among variables")
             if len(set(eq.predictors)) != len(eq.predictors):
                 raise SpecError(f"duplicate predictor in equation for {eq.outcome!r}")
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(eq.outcome for eq in self.equations)
 
 
 def parse_spec(text: str) -> SemSpec:
@@ -171,14 +168,21 @@ def implied_moments(pm: PathModel) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
+def nearest_pd(sigma: np.ndarray) -> np.ndarray:
+    """An implied covariance made Cholesky-valid."""
+    return ensure_pd(sigma, 1e-10)
+
+
 class SemFit(NamedTuple):
     model: PathModel
-    params: MvnParams
+    # The saturated EM fit the equations were solved on.
+    em: EmResult
+    # The model-implied moments, repaired by ``nearest_pd``.
+    implied: MvnParams
+    # Observed-data log-likelihood under ``implied``.
     loglik: float
+    # Notes from the equations; EM's own are in ``em.warnings``.
     warnings: list[str]
-    em_iterations: int
-    em_stop: str
-    em_loglik_history: tuple[float, ...]
 
 
 def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> SemFit:
@@ -195,7 +199,7 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
             raise SpecError(f"model variable {v!r} not present in the data")
 
     res = em_fit(ds, cfg)
-    warnings = list(res.warnings)
+    warnings: list[str] = []
     mu, sigma = res.params.mu, res.params.sigma
     d = ds.d
     index = {name: j for j, name in enumerate(names)}
@@ -235,83 +239,7 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
         endogenous=endo,
     )
     mu_i, sigma_i = implied_moments(model)
-    ll = loglik_observed(MvnParams(mu_i, ensure_pd(sigma_i, 1e-10)), ds)
-    return SemFit(
-        model=model,
-        params=res.params,
-        loglik=float(ll),
-        warnings=warnings,
-        em_iterations=res.iterations,
-        em_stop=res.stopped,
-        em_loglik_history=res.history,
-    )
+    implied = MvnParams(mu_i, nearest_pd(sigma_i))
+    loglik = float(loglik_observed(implied, ds))
+    return SemFit(model=model, em=res, implied=implied, loglik=loglik, warnings=warnings)
 
-
-def fit_baseline(ds: Dataset) -> tuple[MvnParams, float]:
-    """Independence model: per-column observed-cell ML mean and variance.
-
-    With a diagonal covariance the observed-data likelihood factorizes per
-    column, so the column-wise MLE is exact; no iteration needed.
-    """
-    d = ds.d
-    mu = np.zeros(d)
-    var = np.zeros(d)
-    for j, spec in enumerate(ds.specs):
-        colmask = ds.mask[:, j]
-        if int(colmask.sum()) < 2:
-            raise SpecError(f"column {spec.name!r} needs at least 2 observed cells")
-        col = ds.values[colmask, j]
-        mu[j] = col.mean()
-        var[j] = max(float(np.mean((col - mu[j]) ** 2)), PSI_FLOOR)
-    params = MvnParams(mu, np.diag(var))
-    return params, loglik_observed(params, ds)
-
-
-class FitIndices(NamedTuple):
-    cfi: float
-    rmsea: float
-
-
-def model_df(spec: SemSpec, variables: Sequence[str]) -> int:
-    """Degrees of freedom: saturated moment count minus free parameters."""
-    d = len(variables)
-    n_endo = len(spec.equations)
-    n_exo = d - n_endo
-    n_coef = sum(len(eq.predictors) for eq in spec.equations)
-    free = d + n_coef + n_endo + n_exo * (n_exo + 1) // 2
-    return d + d * (d + 1) // 2 - free
-
-
-def baseline_df(d: int) -> int:
-    return d * (d + 1) // 2 - d
-
-
-def fit_indices(
-    loglik_model: float,
-    loglik_saturated: float,
-    loglik_baseline: float,
-    df_model: int,
-    df_baseline: int,
-    n: int,
-) -> FitIndices:
-    """CFI and RMSEA from likelihood-ratio chi-squares.
-
-    CFI keeps its numerator unclamped so a model beating its degrees of
-    freedom reports CFI > 1; the denominator is floored at the numerator and
-    0 so the ratio stays defined.
-    """
-    if n <= 0:
-        raise SpecError("n must be positive")
-    if df_model < 0 or df_baseline < 0:
-        raise SpecError("degrees of freedom must be non-negative")
-    chi_m = max(2.0 * (loglik_saturated - loglik_model), 0.0)
-    chi_b = max(2.0 * (loglik_saturated - loglik_baseline), 0.0)
-
-    if df_model == 0:
-        return FitIndices(cfi=1.0, rmsea=0.0)
-
-    num = chi_m - df_model
-    denom = max(chi_b - df_baseline, num, 0.0)
-    cfi = 1.0 if denom == 0.0 else 1.0 - num / denom
-    rmsea = float(np.sqrt(max(num, 0.0) / (df_model * n)))
-    return FitIndices(cfi=float(cfi), rmsea=rmsea)

@@ -29,11 +29,12 @@ from .dataset import (
     snap_ordinals,
 )
 from .errors import InputError, NumericalError
-from .fiml import EmConfig, MvnParams, conditional_impute, em_fit
-from .linalg import adam_update, ensure_pd, ordered_matmul
+from .fiml import EmConfig, conditional_impute, em_fit
+from .linalg import adam_update, ordered_matmul
 from .missingness import plan_mcar
 from .rng import derive_seed
-from .sem import SemSpec, fit_paths_fiml, implied_moments
+from .sem import SemSpec, fit_paths_fiml
+from .sem import nearest_pd as _nearest_pd  # noqa: F401  (bench/reference.py imports this name)
 
 MODE_BENCHMARK = "benchmark"
 MODE_SELF_SUPERVISED = "self_supervised"
@@ -41,11 +42,6 @@ MODE_SELF_SUPERVISED = "self_supervised"
 # Convergence is judged on the total loss across a window this many epochs
 # wide; shorter histories never terminate early.
 CONVERGENCE_WINDOW = 10
-
-
-def _nearest_pd(sigma: np.ndarray) -> np.ndarray:
-    """An implied covariance made Cholesky-valid; bench/reference.py imports it under this name."""
-    return ensure_pd(sigma, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -267,15 +263,10 @@ def train(
         if truth is not None:
             raise InputError("self-supervised mode takes no truth")
         truth_values = None
-        ref_cov = pairwise_stats(ds).cov
+        stats = pairwise_stats(ds)
+        ref_cov, col_means = stats.cov, stats.mean
 
-    n, d = ds.values.shape
-    observed_values = np.where(ds.mask, ds.values, 0.0)
-    col_means = np.array(
-        [ds.values[ds.mask[:, j], j].mean() if ds.mask[:, j].any() else 0.0 for j in range(d)]
-    )
-
-    params = init_params(d, cfg.seed)
+    params = init_params(ds.d, cfg.seed)
     adam = AdamState.zeros(params)
     x = np.asarray(init.values, dtype=np.float64).copy()
     history: list[EpochRecord] = []
@@ -286,7 +277,7 @@ def train(
             self_mask = _self_mask_matrix(ds, cfg.self_mask_rate, epoch_seed)
             x_in = np.where(self_mask, col_means[None, :], x)
             eval_mask = self_mask
-            reference = observed_values
+            reference = ds.values
             replace_mask = provenance | self_mask
         else:
             x_in = x
@@ -314,7 +305,7 @@ def train(
         params, adam = adam_step(params, grads, adam, cfg.lr, epoch)
 
         # Refined imputations (pre-update parameters) carry into next epoch.
-        x = np.where(provenance, output, observed_values)
+        x = np.where(provenance, output, ds.values)
 
         if len(history) > CONVERGENCE_WINDOW:
             then = history[-1 - CONVERGENCE_WINDOW].total
@@ -376,30 +367,19 @@ def impute(
         )
         return ds, report
 
-    warnings: list[str] = []
     encoded = encode_ordinal(ds)
     norm = normalize(encoded)
 
     if spec is not None:
         fit = fit_paths_fiml(spec, norm, em)
-        warnings.extend(fit.warnings)
-        em_iters = fit.em_iterations
-        em_ll = fit.loglik
-        em_stop, em_history = fit.em_stop, fit.em_loglik_history
-        if moments == "implied":
-            mu_i, sigma_i = implied_moments(fit.model)
-            init_params_mvn = MvnParams(mu_i, _nearest_pd(sigma_i))
-        else:
-            init_params_mvn = fit.params
+        res, em_ll, notes = fit.em, fit.loglik, fit.warnings
+        fill_params = fit.implied if moments == "implied" else res.params
     else:
         res = em_fit(norm, em)
-        warnings.extend(res.warnings)
-        em_iters = res.iterations
-        em_ll = res.loglik
-        em_stop, em_history = res.stopped, res.history
-        init_params_mvn = res.params
+        em_ll, notes, fill_params = res.loglik, [], res.params
+    warnings = [*res.warnings, *notes]
 
-    filled, provenance = conditional_impute(init_params_mvn, norm)
+    filled, provenance = conditional_impute(fill_params, norm)
 
     truth_norm = None
     if truth is not None:
@@ -433,10 +413,10 @@ def impute(
     report = ImputeReport(
         provenance=provenance,
         n_imputed=int(provenance.sum()),
-        em_iterations=em_iters,
+        em_iterations=res.iterations,
         em_loglik=em_ll,
-        em_stop=em_stop,
-        em_loglik_history=em_history,
+        em_stop=res.stopped,
+        em_loglik_history=res.history,
         history=result.history,
         warnings=tuple(warnings),
     )

@@ -608,6 +608,43 @@ def test_config_file_with_unknown_key_fails(tmp_path, bivariate, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, code",
+    [
+        ({"epochs": "5"}, 2),
+        ({"seed": 1.5}, 2),
+        ({"lr": None}, 2),
+        ({"alpha": True}, 2),
+        ({"seed": True}, 2),
+        ({"lenient": 1}, 2),
+        ({"sem": 3}, 2),
+        ({"mode": None}, 2),
+        ({"lr": 1, "sem": None, "lenient": True, "init_moments": "saturated"}, 0),
+    ],
+)
+def test_config_file_value_must_have_the_type_of_its_default(
+    tmp_path, bivariate, capsys, values, code
+):
+    variables, csv = bivariate
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    prefix = str(tmp_path / "x")
+    args = ["impute", "--variables", variables, "--input", csv, "--config", str(config)]
+    assert run([*args, "--out-prefix", prefix]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert all(f"config key {key!r} must be" in err for key in values)
+        assert not list(tmp_path.glob("x.*"))
+
+
+def test_discover_rejects_a_negative_threshold(tmp_path, bivariate, capsys):
+    variables, csv = bivariate
+    args = ["discover", "--variables", variables, "--input", csv, "--threshold", "-0.5"]
+    assert run([*args, "--out-prefix", str(tmp_path / "dag")]) == 2
+    assert "threshold must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("dag.*"))
+
+
 def test_missing_input_file_is_reported(tmp_path, bivariate, capsys):
     variables, _ = bivariate
     code = run(

@@ -154,8 +154,6 @@ def test_config_validation():
         NotearsConfig(h_tol=0.0)
     with pytest.raises(InputError):
         NotearsConfig(inner_steps=0)
-    with pytest.raises(InputError):
-        NotearsConfig(threshold=-0.5)
 
 
 def test_fit_rejects_incomplete_or_tiny_input():

@@ -7,21 +7,10 @@ from semimpute.fiml import EmConfig
 from semimpute.missingness import apply_mcar
 from semimpute.sem import (
     PathModel,
-    SemSpec,
-    baseline_df,
-    fit_baseline,
-    fit_indices,
     fit_paths_fiml,
     implied_moments,
-    model_df,
     parse_spec,
 )
-
-
-def _dataset(values):
-    values = np.asarray(values, dtype=np.float64)
-    specs = tuple(VariableSpec(f"v{j}", "continuous") for j in range(values.shape[1]))
-    return Dataset(values=values, mask=np.ones_like(values, dtype=bool), specs=specs)
 
 
 def test_parse_spec_basic():
@@ -140,71 +129,6 @@ def test_fit_paths_requires_known_variables(make_mvn):
     ds = make_mvn(0, n=50)
     with pytest.raises(SpecError):
         fit_paths_fiml(parse_spec("z ~ v0\n"), ds)
-
-
-def test_fit_baseline_is_independence_mle():
-    ds = _dataset([[1.0, 10.0], [3.0, 30.0], [5.0, 20.0]])
-    params, loglik = fit_baseline(ds)
-    assert np.allclose(params.mu, [3.0, 20.0])
-    assert params.sigma[0, 1] == 0.0
-    assert params.sigma[0, 0] == pytest.approx(8.0 / 3.0)
-    assert np.isfinite(loglik)
-
-
-def test_model_df_saturated_regression_is_zero():
-    # One outcome on five predictors: every moment is consumed.
-    spec = parse_spec("y ~ a + b + c + d + e\n")
-    assert model_df(spec, spec.variables) == 0
-
-
-def test_model_df_single_path():
-    spec = parse_spec("y ~ x\n")
-    assert model_df(spec, spec.variables) == 0
-    assert baseline_df(2) == 1
-
-
-def test_fit_indices_saturated_model():
-    idx = fit_indices(
-        loglik_model=-100.0,
-        loglik_saturated=-100.0,
-        loglik_baseline=-150.0,
-        df_model=0,
-        df_baseline=3,
-        n=500,
-    )
-    assert idx.cfi == 1.0
-    assert idx.rmsea == 0.0
-
-
-def test_fit_indices_derived_example():
-    # chi2_m = 5 with df_m = 10, chi2_b = 200 with df_b = 15, n = 1000:
-    # numerator 5 - 10 = -5, denominator max(185, -5, 0) = 185,
-    # CFI = 1 - (-5)/185 = 1.0270..., RMSEA = 0 (clamped numerator).
-    idx = fit_indices(
-        loglik_model=-2.5,
-        loglik_saturated=0.0,
-        loglik_baseline=-100.0,
-        df_model=10,
-        df_baseline=15,
-        n=1000,
-    )
-    assert idx.cfi == pytest.approx(1.0 + 5.0 / 185.0)
-    assert idx.cfi == pytest.approx(1.027027027027027)
-    assert idx.rmsea == 0.0
-
-
-def test_fit_indices_poor_fit_is_below_one():
-    idx = fit_indices(
-        loglik_model=-120.0,
-        loglik_saturated=-100.0,
-        loglik_baseline=-125.0,
-        df_model=4,
-        df_baseline=6,
-        n=200,
-    )
-    # chi2_m = 40, num = 36; chi2_b = 50, denom = max(44, 36, 0) = 44.
-    assert idx.cfi == pytest.approx(1.0 - 36.0 / 44.0)
-    assert idx.rmsea == pytest.approx((36.0 / 800.0) ** 0.5)
 
 
 def test_negative_general_health_sign_recovered():

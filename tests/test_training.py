@@ -7,11 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semimpute import attention
+from semimpute import attention, training
 from semimpute.attention import AttentionParams, attention_forward, init_params
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
+from semimpute.fiml import MvnParams
+from semimpute.linalg import ensure_pd
 from semimpute.missingness import apply_mcar
+from semimpute.sem import implied_moments, parse_spec
 from semimpute.training import (
     AdamState,
     GradientSet,
@@ -420,3 +423,33 @@ def test_impute_rejects_bad_moments_choice():
     masked, _ = _missing_dataset()
     with pytest.raises(InputError):
         impute(masked, moments="other")
+
+
+@pytest.mark.parametrize("moments", ["implied", "saturated"])
+def test_impute_fills_under_the_moments_of_the_path_fit(monkeypatch, moments):
+    masked, _ = _missing_dataset(seed=5, n=60, d=3)
+    fits, filled_under = [], []
+    fit_paths, fill = training.fit_paths_fiml, training.conditional_impute
+
+    def fit_paths_fiml(*args):
+        fits.append(fit_paths(*args))
+        return fits[-1]
+
+    def conditional_impute(params, ds):
+        filled_under.append(params)
+        return fill(params, ds)
+
+    monkeypatch.setattr(training, "fit_paths_fiml", fit_paths_fiml)
+    monkeypatch.setattr(training, "conditional_impute", conditional_impute)
+    # Not saturated: the model fixes the v0-v2 covariance.
+    spec = parse_spec("v1 ~ v0\nv2 ~ v1\n")
+    impute(masked, spec, TrainConfig(max_epochs=1), moments=moments)
+    [fit], [used] = fits, filled_under
+    mu, sigma = implied_moments(fit.model)
+    repaired = MvnParams(mu, ensure_pd(sigma, 1e-10))
+    np.testing.assert_array_equal(fit.implied.mu, repaired.mu)
+    np.testing.assert_array_equal(fit.implied.sigma, repaired.sigma)
+    assert not np.array_equal(fit.implied.sigma, fit.em.params.sigma)
+    expected = fit.implied if moments == "implied" else fit.em.params
+    np.testing.assert_array_equal(used.mu, expected.mu)
+    np.testing.assert_array_equal(used.sigma, expected.sigma)
