@@ -499,6 +499,9 @@ def _graph_dot(names, w: np.ndarray) -> str:
 
 def cmd_discover(cfg: RunConfig) -> int:
     _require(cfg, "out_prefix")
+    # threshold_dag checks this too, but only after the whole fit.
+    if cfg["threshold"] < 0:
+        raise InputError("threshold must be non-negative")
     ds = _load_inputs(cfg, "input")
     ds = encode_ordinal(ds)
     source = "complete"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from semimpute import cli
 from semimpute._entry import main
 from semimpute.cli import _write_cell_flags, run
 from semimpute.dataset import VariableSpec, load_csv, load_variable_specs
@@ -637,7 +638,11 @@ def test_config_file_value_must_have_the_type_of_its_default(
         assert not list(tmp_path.glob("x.*"))
 
 
-def test_discover_rejects_a_negative_threshold(tmp_path, bivariate, capsys):
+def test_discover_rejects_a_negative_threshold(tmp_path, bivariate, capsys, monkeypatch):
+    def fit_must_not_start(*args, **kwargs):
+        raise AssertionError("notears_fit ran before the threshold was checked")
+
+    monkeypatch.setattr(cli, "notears_fit", fit_must_not_start)
     variables, csv = bivariate
     args = ["discover", "--variables", variables, "--input", csv, "--threshold", "-0.5"]
     assert run([*args, "--out-prefix", str(tmp_path / "dag")]) == 2

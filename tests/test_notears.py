@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError, NumericalError, SpecError
@@ -33,6 +37,67 @@ def _complete(values):
             VariableSpec(f"v{j}", "continuous") for j in range(values.shape[1])
         ),
     )
+
+
+def _taylor_until_terms_vanish(m):
+    """The series summed term by term until a term vanishes against the sum.
+
+    Same scaling and squarings as ``matrix_exp``, with a test after every
+    term instead of a degree read off the norm.
+    """
+    d = m.shape[0]
+    norm = float(np.abs(m).sum(axis=0).max())
+    s = 0
+    if norm > 0.5:
+        s = int(np.ceil(np.log2(norm / 0.5)))
+    a = m / (2.0**s)
+    result = np.eye(d)
+    term = np.eye(d)
+    for k in range(1, 200):
+        term = term @ a / k
+        result = result + term
+        if float(np.abs(term).max()) <= 1e-18 * max(1.0, float(np.abs(result).max())):
+            break
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+@st.composite
+def _matrices_by_norm(draw):
+    """Order 1-8, signed or nonnegative entries, 1-norm scaled into [0, 50].
+
+    About half the draws take their norm from [0, 1], so both sides of the
+    0.5 scaling threshold and every Taylor degree get drawn.
+    """
+    d = draw(st.integers(1, 8))
+    signed = draw(st.booleans())
+    entries = draw(
+        hnp.arrays(
+            np.float64,
+            (d, d),
+            elements=st.floats(-1.0 if signed else 0.0, 1.0, allow_subnormal=False),
+        )
+    )
+    target = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 50.0)))
+    norm = float(np.abs(entries).sum(axis=0).max())
+    return entries if norm == 0.0 else entries * (target / norm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_by_norm())
+def test_matrix_exp_matches_scipy_expm(m):
+    reference = expm(m)
+    err = np.abs(matrix_exp(m) - reference).max()
+    assert err <= 1e-11 * np.abs(reference).max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_by_norm())
+def test_matrix_exp_matches_the_series_summed_until_terms_vanish(m):
+    reference = _taylor_until_terms_vanish(m)
+    err = np.abs(matrix_exp(m) - reference).max()
+    assert err <= 1e-12 * np.abs(reference).max()
 
 
 def test_matrix_exp_symmetric_two_by_two():
