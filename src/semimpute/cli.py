@@ -408,7 +408,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         }
         meta.update(extra)
         report = evaluate(
-            encode_ordinal(imputed) if method == "sesa" else imputed,
+            imputed,
             truth_enc,
             eval_mask,
             sample_size=truth_enc.n,

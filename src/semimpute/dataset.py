@@ -246,18 +246,16 @@ def encode_ordinal(ds: Dataset) -> Dataset:
     for j, spec in enumerate(ds.specs):
         if spec.kind != ORDINAL:
             continue
-        col = values[:, j]
-        for i in np.nonzero(ds.mask[:, j])[0]:
-            x = col[i]
-            idx = round(x)
-            if abs(x - idx) > 1e-9 or not 0 <= idx < spec.n_levels:
-                raise ParseError(
-                    f"value {x!r} is not a level index of {spec.name!r} "
-                    f"(0..{spec.n_levels - 1})",
-                    row=int(i),
-                    column=spec.name,
-                )
-            col[i] = float(idx)
+        rows = np.flatnonzero(ds.mask[:, j])
+        x = values[rows, j]
+        # Ties go to the even level, as round() does; + 0.0 clears a -0.0.
+        idx = np.rint(x) + 0.0
+        bad = ~((np.abs(x - idx) <= 1e-9) & (idx >= 0) & (idx < spec.n_levels))
+        if bad.any():
+            first = int(np.argmax(bad))
+            msg = f"value {float(x[first])!r} is not a level index of {spec.name!r}"
+            raise ParseError(f"{msg} (0..{spec.n_levels - 1})", row=int(rows[first]), column=spec.name)
+        values[rows, j] = idx
     return ds.with_values(values)
 
 
@@ -375,7 +373,8 @@ def snap_ordinals(ds: Dataset, cells: np.ndarray) -> Dataset:
         if not target.any():
             continue
         snapped = np.ceil(values[target, j] - 0.5)
-        values[target, j] = np.clip(snapped, 0.0, float(spec.n_levels - 1))
+        # ceil gives -0.0 on (-0.5, 0.5); + 0.0 makes level 0 a plain 0.0.
+        values[target, j] = np.clip(snapped, 0.0, float(spec.n_levels - 1)) + 0.0
     return ds.with_values(values)
 
 

@@ -2,7 +2,8 @@
 
 EM maximizes the observed-data (marginalized) log-likelihood; conditional
 expectation under the fitted parameters provides the initial imputation that
-attention training later refines.
+attention training later refines.  EM's last E-step runs under the returned
+parameters, so its fill (``EmResult.filled``) is that imputation.
 
 One E-step (``_estep``) serves EM, the log-likelihood and the conditional
 fill.  It groups the rows by their number of observed cells, so there are at
@@ -82,6 +83,8 @@ class EmResult(NamedTuple):
     stopped: str
     # Observed-data log-likelihood at the start and after each iteration.
     history: tuple[float, ...]
+    # The last E-step's fill, run under ``params``: missing cells are E[x_m | x_o].
+    filled: np.ndarray
 
 
 class EStep(NamedTuple):
@@ -227,6 +230,7 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
         warnings=warnings,
         stopped=stopped,
         history=tuple(history),
+        filled=step.filled,
     )
 
 

@@ -3,7 +3,8 @@
 Models are observed-variable regressions written one equation per line
 ("Y ~ X1 + X2"); fitting is two-stage: saturated moments by EM, then
 per-equation generalized least squares on those moments.  The fit carries
-the model's implied moments, made Cholesky-valid once, for the fill.
+the model's implied moments, made Cholesky-valid once, and the one E-step
+under them: its log-likelihood and its conditional-mean fill.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import NumericalError, ParseError, SpecError
-from .fiml import EmConfig, EmResult, MvnParams, em_fit, loglik_observed
+from .fiml import EmConfig, EmResult, MvnParams, _estep, em_fit
 from .linalg import ensure_pd
 
 PSI_FLOOR = 1e-12
@@ -138,11 +139,6 @@ class PathModel:
     def d(self) -> int:
         return len(self.variables)
 
-    @property
-    def exogenous(self) -> tuple[str, ...]:
-        endo = set(self.endogenous)
-        return tuple(v for v in self.variables if v not in endo)
-
 
 def implied_moments(pm: PathModel) -> tuple[np.ndarray, np.ndarray]:
     """Model-implied (mu, sigma): sigma = A S A^T, mu = A c, A = (I - B)^{-1}."""
@@ -181,6 +177,8 @@ class SemFit(NamedTuple):
     implied: MvnParams
     # Observed-data log-likelihood under ``implied``.
     loglik: float
+    # The data with every missing cell set to E[x_m | x_o] under ``implied``.
+    filled: np.ndarray
     # Notes from the equations; EM's own are in ``em.warnings``.
     warnings: list[str]
 
@@ -189,8 +187,8 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
     """Two-stage fit: saturated EM moments, then per-equation GLS on them.
 
     Coefficients solve Sigma_pp b = sigma_po for each equation; residual
-    variance is the Schur complement.  The returned log-likelihood is the
-    observed-data log-likelihood of the model-implied moments.
+    variance is the Schur complement.  One E-step under the model-implied
+    moments gives the observed-data log-likelihood and the fill.
     """
     names = ds.names
     known = set(names)
@@ -240,6 +238,6 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
     )
     mu_i, sigma_i = implied_moments(model)
     implied = MvnParams(mu_i, nearest_pd(sigma_i))
-    loglik = float(loglik_observed(implied, ds))
-    return SemFit(model=model, em=res, implied=implied, loglik=loglik, warnings=warnings)
+    step = _estep(implied.mu, implied.sigma, ds)
+    return SemFit(model, res, implied, step.loglik, step.filled, warnings)
 

@@ -29,7 +29,8 @@ from .dataset import (
     snap_ordinals,
 )
 from .errors import InputError, NumericalError
-from .fiml import EmConfig, conditional_impute, em_fit
+from .fiml import EmConfig, em_fit
+from .fiml import conditional_impute  # noqa: F401  (bench/trace.py wraps this name)
 from .linalg import adam_update, ordered_matmul
 from .missingness import plan_mcar
 from .rng import derive_seed
@@ -268,7 +269,7 @@ def train(
 
     params = init_params(ds.d, cfg.seed)
     adam = AdamState.zeros(params)
-    x = np.asarray(init.values, dtype=np.float64).copy()
+    x = init.values
     history: list[EpochRecord] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -313,8 +314,7 @@ def train(
             if abs(now - then) / max(abs(then), 1e-12) < cfg.rel_tol:
                 break
 
-    refined = ds.with_values(np.where(provenance, x, ds.values)).with_mask(ds.mask)
-    return TrainResult(params=params, history=tuple(history), refined=refined)
+    return TrainResult(params=params, history=tuple(history), refined=ds.with_values(x))
 
 
 @dataclass(frozen=True)
@@ -348,15 +348,16 @@ def impute(
 
     ``moments`` picks the conditional-imputation moments when a path model
     is supplied: its implied moments ("implied") or the saturated EM
-    moments ("saturated").  Observed cells come back bit-identical; imputed
-    ordinal cells are snapped to valid levels.
+    moments ("saturated").  The initial fill is the one the fit's E-step
+    under those moments already made.  Observed cells come back
+    bit-identical; imputed ordinal cells are snapped to valid levels.
     """
     if moments not in ("implied", "saturated"):
         raise InputError(f"moments must be 'implied' or 'saturated', got {moments!r}")
-    provenance_full = ~np.asarray(ds.mask)
+    provenance = ~np.asarray(ds.mask)
     if ds.n_missing() == 0:
         report = ImputeReport(
-            provenance=provenance_full,
+            provenance=provenance,
             n_imputed=0,
             em_iterations=0,
             em_loglik=float("nan"),
@@ -373,13 +374,11 @@ def impute(
     if spec is not None:
         fit = fit_paths_fiml(spec, norm, em)
         res, em_ll, notes = fit.em, fit.loglik, fit.warnings
-        fill_params = fit.implied if moments == "implied" else res.params
+        filled = fit.filled if moments == "implied" else res.filled
     else:
         res = em_fit(norm, em)
-        em_ll, notes, fill_params = res.loglik, [], res.params
+        em_ll, notes, filled = res.loglik, [], res.filled
     warnings = [*res.warnings, *notes]
-
-    filled, provenance = conditional_impute(fill_params, norm)
 
     truth_norm = None
     if truth is not None:
@@ -388,7 +387,7 @@ def impute(
         truth_enc = encode_ordinal(truth)
         truth_norm = apply_normalization(truth_enc, norm.normalization)
 
-    result = train(norm, filled, truth_norm, cfg, w)
+    result = train(norm, norm.with_values(filled), truth_norm, cfg, w)
 
     final_output = attention_forward(result.refined.values, result.params)[0]
     final_norm = np.where(provenance, final_output, norm.values)

@@ -120,7 +120,8 @@ def test_encode_ordinal_rejects_fractional_codes():
         mask=np.array([[True]]),
         specs=(SEVERITY,),
     )
-    with pytest.raises(InputError):
+    message = r"^value 1\.5 is not a level index of 'severity' \(0\.\.2\) \(row 0, column 'severity'\)$"
+    with pytest.raises(InputError, match=message):
         encode_ordinal(ds)
 
 
@@ -132,6 +133,48 @@ def test_encode_ordinal_rejects_out_of_range_codes():
     )
     with pytest.raises(InputError):
         encode_ordinal(ds)
+
+
+def _encode_ordinal_loop(ds):
+    """encode_ordinal cell by cell: round() each observed ordinal code."""
+    values = ds.values.copy()
+    for j, spec in enumerate(ds.specs):
+        if spec.kind != "ordinal":
+            continue
+        for i in np.nonzero(ds.mask[:, j])[0]:
+            x = float(values[i, j])
+            idx = round(x)
+            if abs(x - idx) > 1e-9 or not 0 <= idx < spec.n_levels:
+                raise ParseError(
+                    f"value {x!r} is not a level index of {spec.name!r} (0..{spec.n_levels - 1})",
+                    row=int(i),
+                    column=spec.name,
+                )
+            values[i, j] = float(idx)
+    return ds.with_values(values)
+
+
+@st.composite
+def _ordinal_codes(draw):
+    n = draw(st.integers(min_value=0, max_value=20))
+    specs = (WEIGHT, SEVERITY, VariableSpec("grade", "ordinal", levels=("a", "b")))
+    near = [-5e-10, 1 + 5e-10, 2 - 5e-10, 2 - 2e-9, 0.5, -0.5, 1.5, 2.5]
+    codes = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0, *near])
+    values = draw(hnp.arrays(np.float64, (n, 3), elements=codes))
+    return Dataset(values=values, mask=draw(hnp.arrays(bool, (n, 3))), specs=specs)
+
+
+@given(_ordinal_codes())
+@settings(max_examples=200, deadline=None)
+def test_encode_ordinal_matches_per_cell_loop(ds):
+    try:
+        want = _encode_ordinal_loop(ds)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            encode_ordinal(ds)
+        assert (str(got.value), got.value.row, got.value.column) == (str(err), err.row, err.column)
+    else:
+        assert encode_ordinal(ds).values.tobytes() == want.values.tobytes()
 
 
 def test_normalize_maps_observed_range_to_unit_interval(make_dataset):
@@ -217,6 +260,13 @@ def test_snap_ordinals_halfway_values():
     ds = Dataset(values=np.array([[0.5], [1.5]]), mask=np.ones((2, 1), bool), specs=(spec,))
     snapped = snap_ordinals(ds, np.ones((2, 1), bool))
     assert snapped.values[:, 0].tolist() == [0.0, 1.0]
+
+
+def test_snap_ordinals_level_zero_is_positive_zero():
+    ds = Dataset(values=np.array([[-0.3], [0.2], [0.49]]), mask=np.ones((3, 1), bool), specs=(SEVERITY,))
+    snapped = snap_ordinals(ds, np.ones((3, 1), bool))
+    assert snapped.values[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(snapped.values).any()
 
 
 def test_save_and_load_round_trip(tmp_path, make_dataset):

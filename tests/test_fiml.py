@@ -262,6 +262,27 @@ def test_batched_estep_matches_oracle_across_blocks():
     assert groups[1] > INNER_CHUNK
 
 
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=40, max_value=300),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.0, max_value=0.6),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_em_fill_is_the_conditional_fill_under_its_params(seed, n, d, rate, max_iter):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+    mask = rng.random((n, d)) >= rate
+    # Two complete rows give every column its two observed cells.
+    mask[:2] = True
+    mask[2] = False
+    ds = _dataset(values, mask)
+    res = em_fit(ds, EmConfig(max_iter=max_iter))
+    filled, _ = conditional_impute(res.params, ds)
+    assert res.filled.tobytes() == filled.values.tobytes()
+
+
 def test_em_memory_stays_linear_in_rows():
     n, d = 20000, 21
     rng = np.random.default_rng(8)

@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semimpute import attention, training
+from semimpute import attention, fiml, sem, training
 from semimpute.attention import AttentionParams, attention_forward, init_params
 from semimpute.dataset import Dataset, VariableSpec
 from semimpute.errors import InputError
-from semimpute.fiml import MvnParams
+from semimpute.fiml import MvnParams, conditional_impute
 from semimpute.linalg import ensure_pd
 from semimpute.missingness import apply_mcar
 from semimpute.sem import implied_moments, parse_spec
@@ -425,31 +425,58 @@ def test_impute_rejects_bad_moments_choice():
         impute(masked, moments="other")
 
 
-@pytest.mark.parametrize("moments", ["implied", "saturated"])
+@pytest.mark.parametrize("moments", ["implied", "saturated", None])
 def test_impute_fills_under_the_moments_of_the_path_fit(monkeypatch, moments):
+    # moments=None runs without a path model: the saturated EM fit alone.
     masked, _ = _missing_dataset(seed=5, n=60, d=3)
-    fits, filled_under = [], []
-    fit_paths, fill = training.fit_paths_fiml, training.conditional_impute
+    fits, inits = [], []
 
-    def fit_paths_fiml(*args):
-        fits.append(fit_paths(*args))
-        return fits[-1]
+    def recorded(fn):
+        def wrapper(*args):
+            fits.append(fn(*args))
+            return fits[-1]
 
-    def conditional_impute(params, ds):
-        filled_under.append(params)
-        return fill(params, ds)
+        return wrapper
 
-    monkeypatch.setattr(training, "fit_paths_fiml", fit_paths_fiml)
-    monkeypatch.setattr(training, "conditional_impute", conditional_impute)
+    training_train = training.train
+
+    def train(ds, init, *args):
+        inits.append((ds, init))
+        return training_train(ds, init, *args)
+
+    monkeypatch.setattr(training, "fit_paths_fiml", recorded(training.fit_paths_fiml))
+    monkeypatch.setattr(training, "em_fit", recorded(training.em_fit))
+    monkeypatch.setattr(training, "train", train)
     # Not saturated: the model fixes the v0-v2 covariance.
-    spec = parse_spec("v1 ~ v0\nv2 ~ v1\n")
-    impute(masked, spec, TrainConfig(max_epochs=1), moments=moments)
-    [fit], [used] = fits, filled_under
-    mu, sigma = implied_moments(fit.model)
-    repaired = MvnParams(mu, ensure_pd(sigma, 1e-10))
-    np.testing.assert_array_equal(fit.implied.mu, repaired.mu)
-    np.testing.assert_array_equal(fit.implied.sigma, repaired.sigma)
-    assert not np.array_equal(fit.implied.sigma, fit.em.params.sigma)
-    expected = fit.implied if moments == "implied" else fit.em.params
-    np.testing.assert_array_equal(used.mu, expected.mu)
-    np.testing.assert_array_equal(used.sigma, expected.sigma)
+    spec = None if moments is None else parse_spec("v1 ~ v0\nv2 ~ v1\n")
+    impute(masked, spec, TrainConfig(max_epochs=1), moments=moments or "implied")
+    [fit], [(norm, init)] = fits, inits
+    if moments is None:
+        expected = fit.params
+    else:
+        mu, sigma = implied_moments(fit.model)
+        repaired = MvnParams(mu, ensure_pd(sigma, 1e-10))
+        np.testing.assert_array_equal(fit.implied.mu, repaired.mu)
+        np.testing.assert_array_equal(fit.implied.sigma, repaired.sigma)
+        assert not np.array_equal(fit.implied.sigma, fit.em.params.sigma)
+        expected = fit.implied if moments == "implied" else fit.em.params
+    filled, _ = conditional_impute(expected, norm)
+    assert init.values.tobytes() == filled.values.tobytes()
+
+
+@pytest.mark.parametrize("with_spec", [False, True])
+def test_impute_runs_no_estep_beyond_the_fit(monkeypatch, with_spec):
+    masked, _ = _missing_dataset(seed=5, n=60, d=3)
+    calls, fiml_estep = [], fiml._estep
+
+    def estep(*args):
+        calls.append(1)
+        return fiml_estep(*args)
+
+    monkeypatch.setattr(fiml, "_estep", estep)
+    monkeypatch.setattr(sem, "_estep", estep)
+    spec = parse_spec("v1 ~ v0\nv2 ~ v1\n") if with_spec else None
+    _, report = impute(masked, spec, TrainConfig(max_epochs=1))
+    # One E-step at EM's start and one per iteration; a path model adds the
+    # one under its implied moments.
+    assert len(calls) == report.em_iterations + 1 + with_spec
