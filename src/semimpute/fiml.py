@@ -6,14 +6,27 @@ attention training later refines.  EM's last E-step runs under the returned
 parameters, so its fill (``EmResult.filled``) is that imputation.
 
 One E-step (``_estep``) serves EM, the log-likelihood and the conditional
-fill.  It groups the rows by their number of observed cells, so there are at
-most d + 1 groups however many missingness patterns the table has, and works
-through each group in blocks of ``linalg.INNER_CHUNK`` rows.  Per block, one
-batched Cholesky factor of the rows' observed covariance blocks, and forward
-substitution against it (``linalg.forward_substitute``), give the
-log-likelihood, the conditional means of the missing cells and their
-conditional covariance (Little & Rubin, *Statistical Analysis with Missing
-Data*, 3rd ed., ch. 11).
+fill.  Its index work depends on the mask alone, so it is done once per fit
+(``missingness_plan``): the rows grouped by their number k of observed cells,
+at most d + 1 groups however many missingness patterns the table has, in
+blocks of ``linalg.INNER_CHUNK`` rows, each with its columns ordered observed
+first and the flat indices of those cells.  Each E-step works through the
+plan's blocks in one of two forms (Little & Rubin, *Statistical Analysis
+with Missing Data*, 3rd ed., ch. 11; Schafer, *Analysis of Incomplete
+Multivariate Data*, 1997, ch. 5):
+
+- precision form, for groups with fewer missing cells than observed ones:
+  sigma is factored once per E-step, Lambda = sigma^-1 and t = (x - mu) Lambda
+  (0 at the missing cells) taken for the whole table, and each row factors
+  only the m x m missing block of Lambda;
+- covariance form, for the other groups, and for every group once sigma's
+  condition estimate passes ``PRECISION_COND_LIMIT``: each row factors its
+  k x k observed block of sigma.
+
+Both give the log-likelihood, the conditional means of the missing cells and
+their conditional covariance.  The batched solves are forward substitutions
+(``linalg.forward_substitute``) and the one whole-table product goes through
+``linalg.ordered_matmul``, so the bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, pairwise_stats
+from .dataset import Dataset, PairwiseStats, pairwise_stats
 from .errors import InputError, NumericalError
 from .linalg import INNER_CHUNK, ensure_pd, forward_substitute, ordered_matmul, ridged_cholesky
 
@@ -36,6 +49,11 @@ MONOTONE_SLACK = 1e-8
 # Diagonal ridge for a covariance, or an observed block of one, that
 # Cholesky rejects.
 RIDGE = 1e-6
+
+# The precision form is taken only while (max L_ii / min L_ii)^2, with L the
+# Cholesky factor of sigma, is at most this.  That ratio is a lower bound on
+# cond(sigma).
+PRECISION_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -109,44 +127,125 @@ def _loglik_observed(params: MvnParams, ds: Dataset):
     return step.loglik, step.warnings
 
 
-def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset) -> EStep:
-    """Log-likelihood, conditional-mean fill and covariance correction.
+class _Block(NamedTuple):
+    """Up to ``INNER_CHUNK`` rows that each have the same number k of observed cells."""
 
-    Rows are grouped by their number k of observed cells.  Complete rows
-    share one factor of sigma; fully-missing rows take mu and contribute
-    sigma to the correction and 0 to the log-likelihood.  The other groups go
-    through ``_estep_block`` in blocks of ``INNER_CHUNK`` rows.
+    rows: np.ndarray
+    # (rows, d): each row's observed columns first, then its missing ones,
+    # each in column order.
+    cols: np.ndarray
+    # (rows, d): the flat indices of those cells in the n x d table, so the
+    # first k gather the observed values and the rest scatter the fill.
+    cells: np.ndarray
+
+
+class MissingnessPlan(NamedTuple):
+    """The E-step's index work, which depends on the mask alone."""
+
+    # (k, blocks) for each observed-cell count k that some row has, ascending.
+    groups: tuple[tuple[int, tuple[_Block, ...]], ...]
+
+
+def missingness_plan(mask: np.ndarray) -> MissingnessPlan:
+    """Group the rows by their number k of observed cells, in blocks of ``INNER_CHUNK`` rows.
+
+    There are at most d + 1 groups however many missingness patterns the
+    table has.  One plan serves every E-step on tables with this mask.
     """
-    d = ds.d
-    counts = np.asarray(ds.mask).sum(axis=1)
+    mask = np.asarray(mask, dtype=bool)
+    d = mask.shape[1]
+    counts = mask.sum(axis=1)
     by_count = np.argsort(counts, kind="stable")
     bounds = np.searchsorted(counts[by_count], np.arange(d + 2))
-    filled = ds.values.copy()
-    correction = np.zeros(d * d)
-    warnings: list[str] = []
-    total = 0.0
+    groups = []
     for k in range(d + 1):
         rows = by_count[bounds[k] : bounds[k + 1]]
         if rows.size == 0:
             continue
+        cols = np.argsort(~mask[rows], axis=1, kind="stable")
+        cells = rows[:, None] * d + cols
+        spans = range(0, rows.size, INNER_CHUNK)
+        groups.append((k, tuple(_Block(*(a[s : s + INNER_CHUNK] for a in (rows, cols, cells))) for s in spans)))
+    return MissingnessPlan(tuple(groups))
+
+
+def _precision(mu: np.ndarray, sigma: np.ndarray, ds: Dataset):
+    """(log det sigma, Lambda, t, r.t) with Lambda = sigma^-1, r = x - mu with
+    0 at the missing cells and t = r Lambda; None when Cholesky rejects sigma
+    or its condition estimate passes ``PRECISION_COND_LIMIT``."""
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diag(chol)
+    if (diag.max() / diag.min()) ** 2 > PRECISION_COND_LIMIT:
+        return None
+    inv_chol = forward_substitute(chol, np.eye(mu.size))
+    lam = ordered_matmul(inv_chol.T, inv_chol)
+    r = np.where(ds.mask, ds.values - mu, 0.0)
+    t = ordered_matmul(r, lam)
+    return 2.0 * float(np.sum(np.log(diag))), lam, t, np.einsum("ij,ij->i", r, t)
+
+
+def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, plan: MissingnessPlan | None = None) -> EStep:
+    """Log-likelihood, conditional-mean fill and covariance correction.
+
+    Works through ``plan`` (made from ``ds.mask`` when not given) one block
+    at a time.  Fully-missing rows take mu and contribute sigma to the
+    correction and 0 to the log-likelihood.  A group whose m missing cells
+    are fewer than its k observed ones goes through ``_precision_block``,
+    which factors the m x m missing block of Lambda = sigma^-1; every other
+    group, and every group when ``_precision`` declines sigma, goes through
+    ``_estep_block``, which factors the k x k observed block of sigma.
+    """
+    d = ds.d
+    plan = missingness_plan(ds.mask) if plan is None else plan
+    precision = _precision(mu, sigma, ds)
+    filled = ds.values.copy()
+    correction = np.zeros(d * d)
+    warnings: list[str] = []
+    total = 0.0
+    for k, blocks in plan.groups:
         if k == 0:
+            rows = np.concatenate([block.rows for block in blocks])
             warnings.append(f"{rows.size} fully-missing row(s) contribute 0")
             filled[rows] = mu
             correction += rows.size * sigma.ravel()
-        elif k == d:
-            _, chol = ridged_cholesky(sigma, RIDGE, warnings, "pattern submatrix for factorization")
-            logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            z = forward_substitute(chol, (ds.values[rows] - mu).T)
-            quad = np.sum(z * z, axis=0)
-            total += float(np.sum(-0.5 * (d * LOG_2PI + logdet + quad)))
+        elif precision is not None and d - k < k:
+            for block in blocks:
+                total += _precision_block(block, k, mu, precision, filled, correction)
         else:
-            for start in range(0, rows.size, INNER_CHUNK):
-                block = rows[start : start + INNER_CHUNK]
+            for block in blocks:
                 total += _estep_block(block, k, mu, sigma, ds, filled, correction, warnings)
     return EStep(total, filled, correction.reshape(d, d), warnings)
 
 
-def _estep_block(rows, k, mu, sigma, ds, filled, correction, warnings) -> float:
+def _precision_block(block: _Block, k: int, mu, precision, filled, correction) -> float:
+    """E-step of rows that each have k observed cells; returns their log-likelihood.
+
+    With L the Cholesky factor of Lambda_mm, one batched forward
+    substitution against L of [t_m | I] gives z = L^-1 t_m and W = L^-1:
+    E[x_m | x_o] = mu_m - W'z, Cov(x_m | x_o) = W'W = Lambda_mm^-1, the
+    quadratic form is r.t - |z|^2 and log det sigma_oo = log det sigma +
+    log det Lambda_mm.
+    """
+    logdet, lam, t, rt = precision
+    d = mu.size
+    m, cells = block.cols[:, k:], block.cells[:, k:]
+    flat = m[:, :, None] * d + m[:, None, :]
+    chol = np.linalg.cholesky(lam.ravel()[flat])
+    eye = np.broadcast_to(np.eye(d - k), chol.shape)
+    solved = forward_substitute(chol, np.concatenate((t.ravel()[cells][:, :, None], eye), axis=2))
+    z, w = solved[:, :, 0], solved[:, :, 1:]
+    w_t = w.transpose(0, 2, 1)
+    filled.reshape(-1)[cells] = mu[m] - (w_t @ z[:, :, None])[:, :, 0]
+    correction += np.bincount(flat.ravel(), weights=(w_t @ w).ravel(), minlength=d * d)
+    logdet_mm = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    quad = rt[block.rows] - np.sum(z * z, axis=1)
+    return float(np.sum(-0.5 * (k * LOG_2PI + logdet + logdet_mm + quad)))
+
+
+def _estep_block(block: _Block, k: int, mu, sigma, ds, filled, correction, warnings) -> float:
     """E-step of rows that each have k observed cells; returns their log-likelihood.
 
     With L the Cholesky factor of sigma_oo, one batched forward substitution
@@ -154,17 +253,15 @@ def _estep_block(rows, k, mu, sigma, ds, filled, correction, warnings) -> float:
     |z|^2, E[x_m | x_o] = mu_m + W'z and Cov(x_m | x_o) = sigma_mm - W'W.
     """
     d = mu.size
-    # Observed columns first, then missing ones, each in column order.
-    cols = np.argsort(~np.asarray(ds.mask)[rows], axis=1, kind="stable")
-    o, m = cols[:, :k], cols[:, k:]
-    resid = ds.values[rows[:, None], o] - mu[o]
+    o, m = block.cols[:, :k], block.cols[:, k:]
+    resid = ds.values.ravel()[block.cells[:, :k]] - mu[o]
     rhs = np.concatenate((resid[:, :, None], sigma[o[:, :, None], m[:, None, :]]), axis=2)
     sigma_oo = sigma[o[:, :, None], o[:, None, :]]
     _, chol = ridged_cholesky(sigma_oo, RIDGE, warnings, "pattern submatrix for factorization")
     solved = forward_substitute(chol, rhs)
     z, w = solved[:, :, 0], solved[:, :, 1:]
     w_t = w.transpose(0, 2, 1)
-    filled[rows[:, None], m] = mu[m] + (w_t @ z[:, :, None])[:, :, 0]
+    filled.reshape(-1)[block.cells[:, k:]] = mu[m] + (w_t @ z[:, :, None])[:, :, 0]
     cond_cov = sigma[m[:, :, None], m[:, None, :]] - w_t @ w
     flat = m[:, :, None] * d + m[:, None, :]
     correction += np.bincount(flat.ravel(), weights=cond_cov.ravel(), minlength=d * d)
@@ -173,7 +270,12 @@ def _estep_block(rows, k, mu, sigma, ds, filled, correction, warnings) -> float:
     return float(np.sum(-0.5 * (k * LOG_2PI + logdet + quad)))
 
 
-def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = None) -> EmResult:
+def em_fit(
+    ds: Dataset,
+    cfg: EmConfig = EmConfig(),
+    init: MvnParams | PairwiseStats | None = None,
+    plan: MissingnessPlan | None = None,
+) -> EmResult:
     """EM for (mu, sigma) of a multivariate normal with ignorable missingness.
 
     Each E-step (``_estep``) gives the observed-data log-likelihood of the
@@ -181,7 +283,10 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
     summed conditional covariance of the missing cells; the M-step is the
     ML update with denominator n.  So one E-step per iteration serves both
     the stopping test and the next M-step.  Initialization comes from
-    pairwise-complete moments unless ``init`` is given.  The log-likelihood
+    pairwise-complete moments (``init`` when it is a ``PairwiseStats``,
+    computed here when ``init`` is None) unless ``init`` gives the
+    parameters.  Every E-step reuses ``plan``, built from the mask when not
+    given.  The log-likelihood
     is checked to be non-decreasing across iterations; ``history`` records
     it at the start and after each iteration, and ``stopped`` says whether
     the relative change fell below ``cfg.tol`` or ``cfg.max_iter`` ran out.
@@ -193,15 +298,17 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
 
     warnings: list[str] = []
     if init is None:
-        start = pairwise_stats(ds)
-        warnings.extend(start.warnings)
-        mu = start.mean.copy()
-        sigma = ensure_pd(0.5 * (start.cov + start.cov.T), RIDGE, warnings)
+        init = pairwise_stats(ds)
+    if isinstance(init, PairwiseStats):
+        warnings.extend(init.warnings)
+        mu = init.mean.copy()
+        sigma = ensure_pd(0.5 * (init.cov + init.cov.T), RIDGE, warnings)
     else:
         mu = init.mu.copy()
         sigma = ensure_pd(init.sigma.copy(), RIDGE, warnings)
 
-    step = _estep(mu, sigma, ds)
+    plan = missingness_plan(ds.mask) if plan is None else plan
+    step = _estep(mu, sigma, ds, plan)
     warnings.extend(step.warnings)
     history = [step.loglik]
     stopped = "max_iter"
@@ -212,7 +319,7 @@ def em_fit(ds: Dataset, cfg: EmConfig = EmConfig(), init: MvnParams | None = Non
         prev_ll = step.loglik
         # Free the last fill before the next E-step allocates its own.
         del step
-        step = _estep(mu, sigma, ds)
+        step = _estep(mu, sigma, ds, plan)
         # Later E-steps repeat the first one's messages; keep only new ones.
         warnings.extend(w for w in dict.fromkeys(step.warnings) if w not in warnings)
         ll = step.loglik

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, PairwiseStats
 from .errors import NumericalError, ParseError, SpecError
-from .fiml import EmConfig, EmResult, MvnParams, _estep, em_fit
+from .fiml import EmConfig, EmResult, MvnParams, _estep, em_fit, missingness_plan
 from .linalg import ensure_pd
 
 PSI_FLOOR = 1e-12
@@ -104,36 +104,13 @@ class PathModel:
     endogenous: tuple[str, ...]
 
     def __post_init__(self):
-        d = len(self.variables)
         B = np.asarray(self.B, dtype=np.float64)
-        psi = np.asarray(self.psi, dtype=np.float64)
-        phi = np.asarray(self.phi, dtype=np.float64)
-        intercepts = np.asarray(self.intercepts, dtype=np.float64)
-        if B.shape != (d, d) or psi.shape != (d,) or intercepts.shape != (d,):
-            raise SpecError("B must be d x d; psi and intercepts d-vectors")
-        if np.any(np.diag(B) != 0.0):
-            raise SpecError("B must have a zero diagonal")
-        if np.any(psi <= 0.0):
-            raise SpecError("residual variances must be strictly positive")
-        n_exo = d - len(self.endogenous)
-        if phi.shape != (n_exo, n_exo):
-            raise SpecError("phi must cover exactly the exogenous variables")
-        if n_exo and not np.allclose(phi, phi.T, atol=1e-10):
-            raise SpecError("phi must be symmetric")
-        if n_exo and np.linalg.eigvalsh(0.5 * (phi + phi.T)).min() < -1e-8:
-            raise SpecError("phi must be positive semi-definite")
-        eye_minus_b = np.eye(d) - B
-        if abs(np.linalg.det(eye_minus_b)) < 1e-12:
+        if abs(np.linalg.det(np.eye(B.shape[0]) - B)) < 1e-12:
             raise SpecError("(I - B) is singular; paths form a dependent cycle")
-        for name in self.endogenous:
-            if name not in self.variables:
-                raise SpecError(f"endogenous name {name!r} not among variables")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", 0.5 * (phi + phi.T) if n_exo else phi)
-        object.__setattr__(self, "intercepts", intercepts)
-        for arr in (self.B, self.psi, self.phi, self.intercepts):
+        for name in ("B", "psi", "phi", "intercepts"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
@@ -183,12 +160,16 @@ class SemFit(NamedTuple):
     warnings: list[str]
 
 
-def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> SemFit:
+def fit_paths_fiml(
+    spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig(), start: PairwiseStats | None = None
+) -> SemFit:
     """Two-stage fit: saturated EM moments, then per-equation GLS on them.
 
-    Coefficients solve Sigma_pp b = sigma_po for each equation; residual
-    variance is the Schur complement.  One E-step under the model-implied
-    moments gives the observed-data log-likelihood and the fill.
+    EM starts from ``start`` when given, else from the pairwise-complete
+    moments of ``ds``.  Coefficients solve Sigma_pp b = sigma_po for each
+    equation; residual variance is the Schur complement.  One E-step under
+    the model-implied moments, on EM's missingness plan, gives the
+    observed-data log-likelihood and the fill.
     """
     names = ds.names
     known = set(names)
@@ -196,7 +177,8 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
         if v not in known:
             raise SpecError(f"model variable {v!r} not present in the data")
 
-    res = em_fit(ds, cfg)
+    plan = missingness_plan(ds.mask)
+    res = em_fit(ds, cfg, start, plan)
     warnings: list[str] = []
     mu, sigma = res.params.mu, res.params.sigma
     d = ds.d
@@ -238,6 +220,6 @@ def fit_paths_fiml(spec: SemSpec, ds: Dataset, cfg: EmConfig = EmConfig()) -> Se
     )
     mu_i, sigma_i = implied_moments(model)
     implied = MvnParams(mu_i, nearest_pd(sigma_i))
-    step = _estep(implied.mu, implied.sigma, ds)
+    step = _estep(implied.mu, implied.sigma, ds, plan)
     return SemFit(model, res, implied, step.loglik, step.filled, warnings)
 

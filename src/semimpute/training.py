@@ -21,6 +21,7 @@ from .attention import AttentionParams, attention_backward, attention_forward, i
 from .dataset import (
     CONTINUOUS,
     Dataset,
+    PairwiseStats,
     apply_normalization,
     denormalize,
     encode_ordinal,
@@ -239,13 +240,16 @@ def train(
     truth: Dataset | None,
     cfg: TrainConfig = TrainConfig(),
     w: LossWeights = LossWeights(),
+    stats: PairwiseStats | None = None,
 ) -> TrainResult:
     """Optimize attention parameters over refinement epochs (full batch).
 
     Benchmark mode scores imputations against supplied truth at the missing
     cells; self-supervised mode re-hides a seeded fraction of observed cells
-    each epoch and scores recovery of their known values.  Each epoch's
-    refined matrix feeds the next epoch.
+    each epoch and scores recovery of their known values, with the pairwise
+    moments of ``ds`` (``stats``, computed here when not given) as the
+    covariance target and self-mask fill.  Each epoch's refined matrix feeds
+    the next epoch.
     """
     if init.values.shape != ds.values.shape:
         raise InputError("init must match the dataset shape")
@@ -264,7 +268,7 @@ def train(
         if truth is not None:
             raise InputError("self-supervised mode takes no truth")
         truth_values = None
-        stats = pairwise_stats(ds)
+        stats = pairwise_stats(ds) if stats is None else stats
         ref_cov, col_means = stats.cov, stats.mean
 
     params = init_params(ds.d, cfg.seed)
@@ -371,12 +375,14 @@ def impute(
     encoded = encode_ordinal(ds)
     norm = normalize(encoded)
 
+    # EM's start and the self-supervised covariance target.
+    stats = pairwise_stats(norm)
     if spec is not None:
-        fit = fit_paths_fiml(spec, norm, em)
+        fit = fit_paths_fiml(spec, norm, em, stats)
         res, em_ll, notes = fit.em, fit.loglik, fit.warnings
         filled = fit.filled if moments == "implied" else res.filled
     else:
-        res = em_fit(norm, em)
+        res = em_fit(norm, em, stats)
         em_ll, notes, filled = res.loglik, [], res.filled
     warnings = [*res.warnings, *notes]
 
@@ -387,7 +393,7 @@ def impute(
         truth_enc = encode_ordinal(truth)
         truth_norm = apply_normalization(truth_enc, norm.normalization)
 
-    result = train(norm, norm.with_values(filled), truth_norm, cfg, w)
+    result = train(norm, norm.with_values(filled), truth_norm, cfg, w, stats)
 
     final_output = attention_forward(result.refined.values, result.params)[0]
     final_norm = np.where(provenance, final_output, norm.values)

@@ -1,10 +1,12 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimpute import fiml
 from semimpute.dataset import Dataset, VariableSpec, normalize
 from semimpute.errors import InputError, NumericalError
 from semimpute.fiml import (
@@ -260,6 +262,100 @@ def test_batched_estep_matches_oracle_across_blocks():
     groups = _check_estep_against_oracle(seed=1, n=600, d=2, rate=0.5)
     # The one-observed-cell group fills more than one block.
     assert groups[1] > INNER_CHUNK
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=8))
+@settings(max_examples=30, deadline=None)
+def test_estep_mixes_precision_and_covariance_groups(seed, d):
+    # Every observed-cell count 0..d, so groups with fewer missing than
+    # observed cells (the precision form) and the others (the covariance
+    # form) meet in one E-step.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    sigma = a @ a.T / d + 0.5 * np.eye(d)
+    mu = rng.standard_normal(d)
+    n = 40 * (d + 1)
+    counts = np.arange(n) % (d + 1)
+    mask = rng.random((n, d)).argsort(axis=1) < counts[:, None]
+    values = rng.standard_normal((n, d))
+    step = _estep(mu, sigma, _dataset(values, mask))
+    ll, filled, correction = _oracle_estep(mu, sigma, values, mask)
+    assert step.loglik == pytest.approx(ll, rel=1e-12, abs=0)
+    np.testing.assert_allclose(step.filled, filled, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(step.correction / n, correction / n, rtol=0, atol=1e-12)
+
+
+def _exact_fill(mu, sigma, values, mask):
+    """Conditional means by Gauss-Jordan elimination in exact rationals, each
+    rounded once to the nearest float."""
+    d = mu.size
+    mu_q = [Fraction(v) for v in mu]
+    sigma_q = [[Fraction(v) for v in row] for row in sigma]
+    filled = values.copy()
+    patterns: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(mask):
+        patterns.setdefault(tuple(np.flatnonzero(row).tolist()), []).append(i)
+    for obs, rows in patterns.items():
+        miss = [j for j in range(d) if j not in obs]
+        if not obs:
+            filled[rows] = mu
+        if not obs or not miss:
+            continue
+        # [sigma_oo | sigma_om] reduced to [I | sigma_oo^-1 sigma_om].
+        k = len(obs)
+        aug = [[sigma_q[p][q] for q in (*obs, *miss)] for p in obs]
+        for c in range(k):
+            lead = aug[c][c]
+            aug[c] = [v / lead for v in aug[c]]
+            for r in range(k):
+                if r != c and aug[r][c] != 0:
+                    f = aug[r][c]
+                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+        for i in rows:
+            resid = [Fraction(values[i, p]) - mu_q[p] for p in obs]
+            for a, j in enumerate(miss):
+                filled[i, j] = float(mu_q[j] + sum(r * aug[b][k + a] for b, r in enumerate(resid)))
+    return filled
+
+
+def _near_duplicate_table(eps):
+    """2000 x 6 with column 1 = column 0 + eps * noise, 30% MCAR, normalized."""
+    n = 2000
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((n, 5))
+    values = np.column_stack([z[:, 0], z[:, 0] + eps * rng.standard_normal(n), z[:, 1:]])
+    masked, _ = apply_mcar(_dataset(values), 0.3, seed=3)
+    return normalize(masked)
+
+
+def test_precision_fill_stays_near_the_covariance_fill_error(monkeypatch):
+    # cond(sigma) is about 4e6, inside the precision form's guard.
+    ds = _near_duplicate_table(1e-3)
+    params = em_fit(ds).params
+    exact = _exact_fill(params.mu, params.sigma, ds.values, np.asarray(ds.mask))
+    rows = 2 * np.asarray(ds.mask).sum(axis=1) > ds.d
+    precise = _estep(params.mu, params.sigma, ds).filled
+    # A bound of 0 sends every group to the covariance form.
+    monkeypatch.setattr(fiml, "PRECISION_COND_LIMIT", 0.0)
+    covariance = _estep(params.mu, params.sigma, ds).filled
+    assert not np.array_equal(precise[rows], covariance[rows])
+    err_precise = np.max(np.abs(precise - exact)[rows])
+    err_covariance = np.max(np.abs(covariance - exact)[rows])
+    assert 0 < err_precise <= 10 * err_covariance
+
+
+def test_guard_keeps_an_ill_conditioned_fit_on_the_covariance_form(monkeypatch):
+    # At the fit, cond(sigma) is about 4e12: column 1 is column 0 plus 1e-6
+    # noise.  (The pairwise-complete start is far better conditioned.)
+    ds = _near_duplicate_table(1e-6)
+    res = em_fit(ds)
+
+    def refuse(*args):
+        raise AssertionError("precision form taken")
+
+    monkeypatch.setattr(fiml, "_precision_block", refuse)
+    filled, _ = conditional_impute(res.params, ds)
+    assert filled.values.tobytes() == res.filled.tobytes()
 
 
 @given(

@@ -480,3 +480,36 @@ def test_impute_runs_no_estep_beyond_the_fit(monkeypatch, with_spec):
     # One E-step at EM's start and one per iteration; a path model adds the
     # one under its implied moments.
     assert len(calls) == report.em_iterations + 1 + with_spec
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of the function bound as ``name`` in every one of ``modules``."""
+    calls, fn = [], getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("with_spec", [False, True])
+def test_impute_builds_one_missingness_plan(monkeypatch, with_spec):
+    masked, _ = _missing_dataset(seed=5, n=60, d=3)
+    calls = _count_calls(monkeypatch, "missingness_plan", [fiml, sem])
+    spec = parse_spec("v1 ~ v0\nv2 ~ v1\n") if with_spec else None
+    impute(masked, spec, TrainConfig(max_epochs=1))
+    # EM's E-steps and the one under the implied moments share it.
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("with_spec", [False, True])
+def test_self_supervised_impute_takes_pairwise_stats_once(monkeypatch, with_spec):
+    masked, _ = _missing_dataset(seed=5, n=60, d=3)
+    calls = _count_calls(monkeypatch, "pairwise_stats", [training, fiml])
+    spec = parse_spec("v1 ~ v0\nv2 ~ v1\n") if with_spec else None
+    impute(masked, spec, TrainConfig(max_epochs=2))
+    # EM's start and train's covariance target are the same moments.
+    assert len(calls) == 1
