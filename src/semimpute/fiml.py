@@ -10,22 +10,22 @@ fill.  Its index work depends on the mask alone, so it is done once per fit
 (``missingness_plan``): the rows grouped by their number k of observed cells,
 at most d + 1 groups however many missingness patterns the table has, in
 blocks of ``linalg.INNER_CHUNK`` rows, each with its columns ordered observed
-first and the flat indices of those cells.  Each E-step works through the
-plan's blocks in one of two forms (Little & Rubin, *Statistical Analysis
-with Missing Data*, 3rd ed., ch. 11; Schafer, *Analysis of Incomplete
-Multivariate Data*, 1997, ch. 5):
+first.  Each E-step works through the plan's blocks in one of two forms
+(Little & Rubin, *Statistical Analysis with Missing Data*, 3rd ed., ch. 11;
+Schafer, *Analysis of Incomplete Multivariate Data*, 1997, ch. 5):
 
 - precision form, for groups with fewer missing cells than observed ones:
-  sigma is factored once per E-step, Lambda = sigma^-1 and t = (x - mu) Lambda
-  (0 at the missing cells) taken for the whole table, and each row factors
-  only the m x m missing block of Lambda;
+  sigma is factored once per E-step into Lambda = sigma^-1 and log det
+  sigma; per block, t = (x - mu) Lambda (x - mu taken as 0 at the missing
+  cells), and each row factors only the m x m missing block of Lambda;
 - covariance form, for the other groups, and for every group once sigma's
-  condition estimate passes ``PRECISION_COND_LIMIT``: each row factors its
-  k x k observed block of sigma.
+  condition estimate passes ``PRECISION_COND_LIMIT`` (or a block whose
+  missing block of Lambda Cholesky rejects): each row factors its k x k
+  observed block of sigma.
 
 Both give the log-likelihood, the conditional means of the missing cells and
 their conditional covariance.  The batched solves are forward substitutions
-(``linalg.forward_substitute``) and the one whole-table product goes through
+(``linalg.forward_substitute``) and the products with Lambda go through
 ``linalg.ordered_matmul``, so the bits do not depend on the BLAS thread count.
 """
 
@@ -134,9 +134,11 @@ class _Block(NamedTuple):
     # (rows, d): each row's observed columns first, then its missing ones,
     # each in column order.
     cols: np.ndarray
-    # (rows, d): the flat indices of those cells in the n x d table, so the
-    # first k gather the observed values and the rest scatter the fill.
-    cells: np.ndarray
+
+    def cells(self, d: int) -> np.ndarray:
+        """Flat indices of ``cols`` in the n x d table: the first k gather
+        the observed values and the rest scatter the fill."""
+        return self.rows[:, None] * d + self.cols
 
 
 class MissingnessPlan(NamedTuple):
@@ -163,15 +165,13 @@ def missingness_plan(mask: np.ndarray) -> MissingnessPlan:
         if rows.size == 0:
             continue
         cols = np.argsort(~mask[rows], axis=1, kind="stable")
-        cells = rows[:, None] * d + cols
         spans = range(0, rows.size, INNER_CHUNK)
-        groups.append((k, tuple(_Block(*(a[s : s + INNER_CHUNK] for a in (rows, cols, cells))) for s in spans)))
+        groups.append((k, tuple(_Block(rows[s : s + INNER_CHUNK], cols[s : s + INNER_CHUNK]) for s in spans)))
     return MissingnessPlan(tuple(groups))
 
 
-def _precision(mu: np.ndarray, sigma: np.ndarray, ds: Dataset):
-    """(log det sigma, Lambda, t, r.t) with Lambda = sigma^-1, r = x - mu with
-    0 at the missing cells and t = r Lambda; None when Cholesky rejects sigma
+def _precision(sigma: np.ndarray):
+    """(log det sigma, Lambda = sigma^-1), or None when Cholesky rejects sigma
     or its condition estimate passes ``PRECISION_COND_LIMIT``."""
     try:
         chol = np.linalg.cholesky(sigma)
@@ -180,11 +180,8 @@ def _precision(mu: np.ndarray, sigma: np.ndarray, ds: Dataset):
     diag = np.diag(chol)
     if (diag.max() / diag.min()) ** 2 > PRECISION_COND_LIMIT:
         return None
-    inv_chol = forward_substitute(chol, np.eye(mu.size))
-    lam = ordered_matmul(inv_chol.T, inv_chol)
-    r = np.where(ds.mask, ds.values - mu, 0.0)
-    t = ordered_matmul(r, lam)
-    return 2.0 * float(np.sum(np.log(diag))), lam, t, np.einsum("ij,ij->i", r, t)
+    inv_chol = forward_substitute(chol, np.eye(sigma.shape[0]))
+    return 2.0 * float(np.sum(np.log(diag))), ordered_matmul(inv_chol.T, inv_chol)
 
 
 def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, plan: MissingnessPlan | None = None) -> EStep:
@@ -195,12 +192,14 @@ def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, plan: MissingnessPlan
     correction and 0 to the log-likelihood.  A group whose m missing cells
     are fewer than its k observed ones goes through ``_precision_block``,
     which factors the m x m missing block of Lambda = sigma^-1; every other
-    group, and every group when ``_precision`` declines sigma, goes through
+    group, every group when ``_precision`` declines sigma, and every block
+    whose missing block of Lambda Cholesky rejects, goes through
     ``_estep_block``, which factors the k x k observed block of sigma.
+    Lambda is formed only when some group has m < k.
     """
     d = ds.d
     plan = missingness_plan(ds.mask) if plan is None else plan
-    precision = _precision(mu, sigma, ds)
+    precision = _precision(sigma) if any(2 * k > d for k, _ in plan.groups) else None
     filled = ds.values.copy()
     correction = np.zeros(d * d)
     warnings: list[str] = []
@@ -211,37 +210,47 @@ def _estep(mu: np.ndarray, sigma: np.ndarray, ds: Dataset, plan: MissingnessPlan
             warnings.append(f"{rows.size} fully-missing row(s) contribute 0")
             filled[rows] = mu
             correction += rows.size * sigma.ravel()
-        elif precision is not None and d - k < k:
-            for block in blocks:
-                total += _precision_block(block, k, mu, precision, filled, correction)
-        else:
-            for block in blocks:
-                total += _estep_block(block, k, mu, sigma, ds, filled, correction, warnings)
+            continue
+        for block in blocks:
+            ll = None
+            if precision is not None and 2 * k > d:
+                ll = _precision_block(block, k, mu, precision, ds, filled, correction)
+            if ll is None:
+                ll = _estep_block(block, k, mu, sigma, ds, filled, correction, warnings)
+            total += ll
     return EStep(total, filled, correction.reshape(d, d), warnings)
 
 
-def _precision_block(block: _Block, k: int, mu, precision, filled, correction) -> float:
-    """E-step of rows that each have k observed cells; returns their log-likelihood.
+def _precision_block(block: _Block, k: int, mu, precision, ds, filled, correction) -> float | None:
+    """E-step of rows that each have k observed cells; returns their
+    log-likelihood, or None, having written nothing, when Cholesky rejects a
+    missing block of Lambda.
 
-    With L the Cholesky factor of Lambda_mm, one batched forward
-    substitution against L of [t_m | I] gives z = L^-1 t_m and W = L^-1:
-    E[x_m | x_o] = mu_m - W'z, Cov(x_m | x_o) = W'W = Lambda_mm^-1, the
-    quadratic form is r.t - |z|^2 and log det sigma_oo = log det sigma +
-    log det Lambda_mm.
+    With r = x - mu (0 at the missing cells), t = r Lambda and L the
+    Cholesky factor of Lambda_mm, one batched forward substitution against
+    L of [t_m | I] gives z = L^-1 t_m and W = L^-1: E[x_m | x_o] = mu_m -
+    W'z, Cov(x_m | x_o) = W'W = Lambda_mm^-1, the quadratic form is r.t -
+    |z|^2 and log det sigma_oo = log det sigma + log det Lambda_mm.
     """
-    logdet, lam, t, rt = precision
+    logdet, lam = precision
     d = mu.size
-    m, cells = block.cols[:, k:], block.cells[:, k:]
+    m = block.cols[:, k:]
     flat = m[:, :, None] * d + m[:, None, :]
-    chol = np.linalg.cholesky(lam.ravel()[flat])
+    try:
+        chol = np.linalg.cholesky(lam.ravel()[flat])
+    except np.linalg.LinAlgError:
+        return None
+    r = np.where(ds.mask[block.rows], ds.values[block.rows] - mu, 0.0)
+    t = ordered_matmul(r, lam)
+    t_m = np.take_along_axis(t, m, axis=1)
     eye = np.broadcast_to(np.eye(d - k), chol.shape)
-    solved = forward_substitute(chol, np.concatenate((t.ravel()[cells][:, :, None], eye), axis=2))
+    solved = forward_substitute(chol, np.concatenate((t_m[:, :, None], eye), axis=2))
     z, w = solved[:, :, 0], solved[:, :, 1:]
     w_t = w.transpose(0, 2, 1)
-    filled.reshape(-1)[cells] = mu[m] - (w_t @ z[:, :, None])[:, :, 0]
+    filled.reshape(-1)[block.cells(d)[:, k:]] = mu[m] - (w_t @ z[:, :, None])[:, :, 0]
     correction += np.bincount(flat.ravel(), weights=(w_t @ w).ravel(), minlength=d * d)
     logdet_mm = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    quad = rt[block.rows] - np.sum(z * z, axis=1)
+    quad = np.einsum("ij,ij->i", r, t) - np.sum(z * z, axis=1)
     return float(np.sum(-0.5 * (k * LOG_2PI + logdet + logdet_mm + quad)))
 
 
@@ -254,14 +263,15 @@ def _estep_block(block: _Block, k: int, mu, sigma, ds, filled, correction, warni
     """
     d = mu.size
     o, m = block.cols[:, :k], block.cols[:, k:]
-    resid = ds.values.ravel()[block.cells[:, :k]] - mu[o]
+    cells = block.cells(d)
+    resid = ds.values.ravel()[cells[:, :k]] - mu[o]
     rhs = np.concatenate((resid[:, :, None], sigma[o[:, :, None], m[:, None, :]]), axis=2)
     sigma_oo = sigma[o[:, :, None], o[:, None, :]]
     _, chol = ridged_cholesky(sigma_oo, RIDGE, warnings, "pattern submatrix for factorization")
     solved = forward_substitute(chol, rhs)
     z, w = solved[:, :, 0], solved[:, :, 1:]
     w_t = w.transpose(0, 2, 1)
-    filled.reshape(-1)[block.cells[:, k:]] = mu[m] + (w_t @ z[:, :, None])[:, :, 0]
+    filled.reshape(-1)[cells[:, k:]] = mu[m] + (w_t @ z[:, :, None])[:, :, 0]
     cond_cov = sigma[m[:, :, None], m[:, None, :]] - w_t @ w
     flat = m[:, :, None] * d + m[:, None, :]
     correction += np.bincount(flat.ravel(), weights=cond_cov.ravel(), minlength=d * d)

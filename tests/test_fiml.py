@@ -358,6 +358,55 @@ def test_guard_keeps_an_ill_conditioned_fit_on_the_covariance_form(monkeypatch):
     assert filled.values.tobytes() == res.filled.tobytes()
 
 
+def test_estep_forms_no_precision_matrix_without_a_precision_group(monkeypatch):
+    # Every row has at most half its cells observed: no group has fewer
+    # missing than observed cells, so sigma^-1 is never needed.
+    rng = np.random.default_rng(6)
+    d, n = 6, 200
+    mask = rng.random((n, d)).argsort(axis=1) < (np.arange(n) % 4)[:, None]
+
+    def refuse(*args):
+        raise AssertionError("precision matrix formed")
+
+    monkeypatch.setattr(fiml, "_precision", refuse)
+    step = _estep(np.zeros(d), np.eye(d) + 0.5, _dataset(rng.standard_normal((n, d)), mask))
+    assert np.isfinite(step.loglik)
+
+
+def test_rejected_missing_block_of_lambda_falls_back_to_the_covariance_form(monkeypatch):
+    # Rows with 3 of 4 cells observed take the precision form and factor a
+    # 1 x 1 block of Lambda; rows with 2 observed take the covariance form
+    # and factor 2 x 2 blocks of sigma.  Cholesky is made to reject the 1 x 1
+    # stacks, so those blocks must go through the covariance form instead.
+    rng = np.random.default_rng(4)
+    d, n = 4, 3 * INNER_CHUNK
+    a = rng.standard_normal((d, d))
+    sigma = a @ a.T / d + 0.5 * np.eye(d)
+    mu = rng.standard_normal(d)
+    counts = np.where(np.arange(n) % 3 == 0, 2, 3)
+    mask = rng.random((n, d)).argsort(axis=1) < counts[:, None]
+    ds = _dataset(rng.standard_normal((n, d)), mask)
+    monkeypatch.setattr(fiml, "PRECISION_COND_LIMIT", 0.0)
+    covariance = _estep(mu, sigma, ds)
+    monkeypatch.undo()
+
+    cholesky, rejected = np.linalg.cholesky, []
+
+    def reject_1x1_stacks(a):
+        if a.ndim == 3 and a.shape[-1] == 1:
+            rejected.append(a.shape[0])
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", reject_1x1_stacks)
+    step = _estep(mu, sigma, ds)
+    assert sum(rejected) == int((counts == 3).sum())
+    assert step.loglik == covariance.loglik
+    assert step.filled.tobytes() == covariance.filled.tobytes()
+    assert step.correction.tobytes() == covariance.correction.tobytes()
+    assert step.warnings == covariance.warnings
+
+
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=40, max_value=300),
