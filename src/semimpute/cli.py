@@ -4,6 +4,11 @@ Every artifact is accompanied by (or is) a JSON report embedding the tool
 version, the fully resolved configuration, and the seed, so a run can be
 reproduced from its own outputs.  Exit codes: 0 success, 2 input error,
 3 numerical error.
+
+``OPTIONS`` declares every option of every command once: its kind, default
+and help.  ``build_parser`` makes the flags from it, and ``resolve_config``
+merges flag, config file and default (in that order of precedence), checking
+each config-file value against the declared kind.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .dataset import (
 )
 from .errors import InputError, NumericalError, SemimputeError
 from .fiml import EmConfig
-from .metrics import EvaluationReport, csv_text, evaluate, report_to_csv, report_to_dict
+from .metrics import CSV_COLUMNS, AggregateMetrics, EvaluationReport, csv_row, csv_text
+from .metrics import evaluate, report_to_csv, report_to_dict
 from .missingness import apply_mcar
 from .notears import NotearsConfig, notears_fit, suggest_spec, threshold_dag
 from .rng import derive_seed
@@ -41,55 +47,79 @@ from .training import (
     impute,
 )
 
-# Defaults of the flags that ``_train_flags`` gives impute and evaluate.
-TRAIN_DEFAULTS: dict = {
-    "alpha": LossWeights.alpha,
-    "beta": LossWeights.beta,
-    "gamma": LossWeights.gamma,
-    "lr": TrainConfig.lr,
-    "epochs": TrainConfig.max_epochs,
-    "tol": TrainConfig.rel_tol,
-    "self_mask_rate": TrainConfig.self_mask_rate,
-    "seed": TrainConfig.seed,
-    "em_max_iter": EmConfig.max_iter,
-    "em_tol": EmConfig.tol,
-    "init_moments": "implied",
+# Options that every command takes.
+_COMMON: dict = {
+    "variables": (str, None, "JSON file of column specs"),
+    "out_prefix": (str, None, "prefix for output files"),
+    "lenient": (bool, False, "treat unparseable cells as missing instead of erroring"),
 }
 
-DEFAULTS: dict[str, dict] = {
-    "impute": {
-        "sem": None,
-        "truth": None,
-        "mode": TrainConfig.mode,
-        **TRAIN_DEFAULTS,
-        "lenient": False,
-    },
-    "evaluate": {
-        "sem": None,
-        "method": "sesa",
-        "rate": 0.3,
-        "trials": 1,
-        "knn_k": 5,
-        "mode": MODE_BENCHMARK,
-        **TRAIN_DEFAULTS,
-        "report_format": "json",
-        "lenient": False,
-    },
-    "discover": {
-        "threshold": 0.3,
-        "lambda1": NotearsConfig.lambda1,
-        "h_tol": NotearsConfig.h_tol,
-        "inner_lr": NotearsConfig.inner_lr,
-        "inner_steps": NotearsConfig.inner_steps,
-        "suggest_outcome": None,
-        "lenient": False,
-    },
-    "simulate": {
-        "rate": 0.3,
-        "seed": 0,
-        "columns": None,
-        "lenient": False,
-    },
+# Path-model, training, loss and EM options of impute and evaluate (sesa).
+_TRAINING: dict = {
+    "sem": (str, None, "path-model file for structured initialization"),
+    "alpha": (float, LossWeights.alpha, "MSE weight"),
+    "beta": (float, LossWeights.beta, "covariance-match weight"),
+    "gamma": (float, LossWeights.gamma, "L1 weight"),
+    "lr": (float, TrainConfig.lr, "Adam learning rate"),
+    "epochs": (int, TrainConfig.max_epochs, "training epoch cap"),
+    "tol": (float, TrainConfig.rel_tol, "relative loss tolerance"),
+    "self_mask_rate": (float, TrainConfig.self_mask_rate, "observed share hidden per epoch"),
+    "seed": (int, TrainConfig.seed, "seed of every random draw"),
+    "em_max_iter": (int, EmConfig.max_iter, "EM iteration cap"),
+    "em_tol": (float, EmConfig.tol, "EM log-likelihood tolerance"),
+    "init_moments": (("implied", "saturated"), "implied", "moments of the initial fill"),
+}
+
+# command -> (summary, {option: (kind, default, help)}).  ``kind`` is str,
+# int, float, bool (a flag that takes no value) or a tuple of choices.  The
+# flag is ``--`` plus the name with ``-`` for ``_``.
+OPTIONS: dict[str, tuple[str, dict]] = {
+    "impute": ("fill missing cells in a CSV", {
+        **_COMMON,
+        "input": (str, None, "CSV with missing cells"),
+        "truth": (str, None, "complete CSV (benchmark mode only)"),
+        "mode": ((MODE_SELF_SUPERVISED, MODE_BENCHMARK), TrainConfig.mode, "training target"),
+        **_TRAINING,
+    }),
+    "evaluate": ("mask a complete CSV, impute, score", {
+        **_COMMON,
+        "truth": (str, None, "complete ground-truth CSV"),
+        "method": (str, "sesa", "sesa, mean, median, knn, or external:<imputed.csv>"),
+        "rate": (float, 0.3, "missingness rate to apply"),
+        "trials": (int, 1, "number of masked replicates"),
+        "knn_k": (int, 5, "neighbor count for method knn"),
+        "mode": ((MODE_BENCHMARK, MODE_SELF_SUPERVISED), MODE_BENCHMARK, "training target"),
+        "report_format": (("json", "csv"), "json", "also write a CSV report"),
+        **_TRAINING,
+    }),
+    "discover": ("learn a weighted DAG over the columns", {
+        **_COMMON,
+        "input": (str, None, "complete or imputed CSV"),
+        "threshold": (float, 0.3, "edge display threshold"),
+        "lambda1": (float, NotearsConfig.lambda1, "L1 penalty on edge weights"),
+        "h_tol": (float, NotearsConfig.h_tol, "acyclicity tolerance"),
+        "inner_lr": (float, NotearsConfig.inner_lr, "Adam learning rate of the inner solve"),
+        "inner_steps": (int, NotearsConfig.inner_steps, "Adam steps per inner solve"),
+        "suggest_outcome": (str, None, "emit a model file for this variable"),
+    }),
+    "simulate": ("hide an exact fraction of observed cells", {
+        **_COMMON,
+        "input": (str, None, "CSV to mask"),
+        "rate": (float, 0.3, "share of observed cells to hide"),
+        "seed": (int, 0, "seed of the mask draw"),
+        "columns": (str, None, "comma-separated column names to mask"),
+    }),
+}
+
+# The report columns a mean across trials keeps: variable to effect_size.
+MEAN_COLUMNS = CSV_COLUMNS[: CSV_COLUMNS.index("effect_size") + 1]
+
+# Config-file value types of each non-choice kind, and how a message names them.
+_FILE_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
 }
 
 
@@ -111,93 +141,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--variables", help="JSON file of column specs")
-        p.add_argument("--out-prefix", help="prefix for output files")
+    for command, (summary, options) in OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument(
-            "--lenient",
-            action="store_const",
-            const=True,
-            default=None,
-            help="treat unparseable cells as missing instead of erroring",
-        )
-
-    p = sub.add_parser("impute", help="fill missing cells in a CSV")
-    common(p)
-    p.add_argument("--input", help="CSV with missing cells")
-    p.add_argument("--sem", help="path-model file for structured initialization")
-    p.add_argument("--truth", help="complete CSV (benchmark mode only)")
-    p.add_argument("--mode", choices=[MODE_SELF_SUPERVISED, MODE_BENCHMARK])
-    _train_flags(p)
-
-    p = sub.add_parser("evaluate", help="mask a complete CSV, impute, score")
-    common(p)
-    p.add_argument("--truth", help="complete ground-truth CSV")
-    p.add_argument(
-        "--method",
-        help="sesa, mean, median, knn, or external:<imputed.csv>",
-    )
-    p.add_argument("--rate", type=float, help="missingness rate to apply")
-    p.add_argument("--trials", type=int, help="number of masked replicates")
-    p.add_argument("--knn-k", type=int, help="neighbor count for method knn")
-    p.add_argument("--sem", help="path-model file (sesa initialization)")
-    p.add_argument("--mode", choices=[MODE_BENCHMARK, MODE_SELF_SUPERVISED])
-    p.add_argument("--report-format", choices=["json", "csv"])
-    _train_flags(p)
-
-    p = sub.add_parser("discover", help="learn a weighted DAG over the columns")
-    common(p)
-    p.add_argument("--input", help="complete or imputed CSV")
-    p.add_argument("--threshold", type=float, help="edge display threshold")
-    p.add_argument("--lambda1", type=float, help="L1 penalty on edge weights")
-    p.add_argument("--h-tol", type=float)
-    p.add_argument("--inner-lr", type=float)
-    p.add_argument("--inner-steps", type=int)
-    p.add_argument("--suggest-outcome", help="emit a model file for this variable")
-
-    p = sub.add_parser("simulate", help="hide an exact fraction of observed cells")
-    common(p)
-    p.add_argument("--input", help="CSV to mask")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--columns", help="comma-separated column names to mask")
+        # Every default stays None, so resolve_config can tell a given flag.
+        for name, (kind, _, text) in options.items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=text)
+            else:
+                p.add_argument(flag, type=kind, help=text)
     return parser
 
 
-def _train_flags(p) -> None:
-    p.add_argument("--alpha", type=float, help="MSE weight")
-    p.add_argument("--beta", type=float, help="covariance-match weight")
-    p.add_argument("--gamma", type=float, help="L1 weight")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--epochs", type=int, help="training epoch cap")
-    p.add_argument("--tol", type=float, help="relative loss tolerance")
-    p.add_argument("--self-mask-rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--em-max-iter", type=int)
-    p.add_argument("--em-tol", type=float)
-    p.add_argument("--init-moments", choices=["implied", "saturated"])
-
-
-def _check_file_value(key: str, value, default) -> None:
-    """Reject a config-file value whose type differs from the default's.
+def _check_file_value(key: str, value, kind, default) -> None:
+    """Reject a config-file value that is not of its option's declared kind.
 
     A float option takes an int or a float, an int option an int, a flag a
-    bool, and any other option a string (or null where its default is None).
-    Values are never converted.
+    bool, a choice option one of its choices, and a string option a string
+    (or null where its default is None).  Values are never converted.
     """
-    if isinstance(default, bool):
-        kinds, wanted = (bool,), "true or false"
-    elif isinstance(default, float):
-        kinds, wanted = (int, float), "a number"
-    elif isinstance(default, int):
-        kinds, wanted = (int,), "an integer"
-    elif default is None:
-        kinds, wanted = (str, type(None)), "a string or null"
-    else:
-        kinds, wanted = (str,), "a string"
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise InputError(f"config key {key!r} must be one of {list(kind)}, got {json.dumps(value)}")
+        return
+    types, wanted = _FILE_TYPES[kind]
+    if default is None:
+        types, wanted = (*types, type(None)), f"{wanted} or null"
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
         raise InputError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
 
 
@@ -205,7 +178,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge precedence: command-line flag, then config file, then default."""
     command = args.command
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
@@ -216,23 +189,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise InputError("config file must hold a JSON object")
 
-    options: dict = {}
-    flag_values = vars(args)
-    keys = set(DEFAULTS[command])
-    keys.update(k for k in flag_values if k not in ("command", "config"))
-    unknown = set(file_values) - keys
+    table = OPTIONS[command][1]
+    unknown = set(file_values) - set(table)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
     for key, value in file_values.items():
-        _check_file_value(key, value, DEFAULTS[command].get(key))
-    for key in sorted(keys):
-        flag = flag_values.get(key)
+        kind, default, _ = table[key]
+        _check_file_value(key, value, kind, default)
+    options: dict = {}
+    for key in sorted(table):
+        flag = getattr(args, key)
         if flag is not None:
             options[key] = flag
         elif key in file_values:
             options[key] = file_values[key]
         else:
-            options[key] = DEFAULTS[command].get(key)
+            options[key] = table[key][1]
     return RunConfig(command=command, options=options)
 
 
@@ -443,41 +415,23 @@ def _mean_of_trials(reports: list[EvaluationReport]) -> dict:
     """Arithmetic mean of every numeric field across trials, by variable."""
     agg = {
         key: float(np.mean([getattr(r.aggregate, key) for r in reports]))
-        for key in ("rmse", "mape_pct", "r2", "wasserstein")
+        for key in AggregateMetrics._fields
     }
-    names = [v.name for v in reports[0].per_variable]
-    shared = [
-        n
-        for n in names
-        if all(any(v.name == n for v in r.per_variable) for r in reports)
-    ]
+    by_name = [{v.name: csv_row(v) for v in r.per_variable} for r in reports]
     per_variable = []
-    for name in shared:
-        rows = [next(v for v in r.per_variable if v.name == name) for r in reports]
-        per_variable.append(
-            {
-                "name": name,
-                "rmse": float(np.mean([v.rmse for v in rows])),
-                "mape_pct": float(np.mean([v.mape_pct for v in rows])),
-                "r2": float(np.mean([v.r2 for v in rows])),
-                "wasserstein": float(np.mean([v.wasserstein for v in rows])),
-                "wilcoxon_statistic": float(
-                    np.mean([v.wilcoxon.statistic for v in rows])
-                ),
-                "wilcoxon_p": float(np.mean([v.wilcoxon.p_value for v in rows])),
-                "effect_size": float(np.mean([v.wilcoxon.effect_size for v in rows])),
-            }
-        )
+    for v in reports[0].per_variable:
+        if all(v.name in rows for rows in by_name):
+            columns = zip(*(rows[v.name][1 : len(MEAN_COLUMNS)] for rows in by_name))
+            means = [float(np.mean(c)) for c in columns]
+            per_variable.append({"name": v.name, **dict(zip(MEAN_COLUMNS[1:], means))})
     return {"aggregate": agg, "per_variable": per_variable}
 
 
 def _mean_csv(reports: list[EvaluationReport]) -> str:
     mean = _mean_of_trials(reports)
-    header = "variable rmse mape_pct r2 wasserstein wilcoxon_statistic wilcoxon_p effect_size".split()
-    rows = [[v[key] for key in ("name", *header[1:])] for v in mean["per_variable"]]
-    agg = mean["aggregate"]
-    rows.append(["AGGREGATE", *(agg[key] for key in header[1:5]), None, None, None])
-    return csv_text(header, rows)
+    rows = [[v["name"], *(v[key] for key in MEAN_COLUMNS[1:])] for v in mean["per_variable"]]
+    rows.append(["AGGREGATE", *mean["aggregate"].values(), None, None, None])
+    return csv_text(list(MEAN_COLUMNS), rows)
 
 
 def _spec_to_text(spec: SemSpec) -> str:
@@ -557,8 +511,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _require(cfg, "out_prefix")
     ds = _load_inputs(cfg, "input")
     columns = None
-    if cfg["columns"]:
-        names = [c.strip() for c in str(cfg["columns"]).split(",") if c.strip()]
+    if cfg["columns"] is not None:
+        names = [c.strip() for c in cfg["columns"].split(",") if c.strip()]
+        if not names:
+            raise InputError(f"--columns names no column: {cfg['columns']!r}")
         columns = [ds.column_index(name) for name in names]
     masked, plan = apply_mcar(ds, cfg["rate"], cfg["seed"], columns=columns)
 

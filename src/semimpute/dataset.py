@@ -143,6 +143,8 @@ def load_variable_specs(path) -> tuple[VariableSpec, ...]:
                 levels=tuple(entry.get("levels", ())),
             )
         )
+        if any(s.name == specs[-1].name for s in specs[:-1]):
+            raise InputError(f"duplicate variable name {specs[-1].name!r} in {path}")
     return tuple(specs)
 
 
@@ -201,6 +203,9 @@ def load_csv(
         except StopIteration:
             raise InputError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            repeated = next(h for i, h in enumerate(header) if h in header[:i])
+            raise InputError(f"{path}: column {repeated!r} appears more than once in the header")
         want = [s.name for s in specs]
         if sorted(header) != sorted(want):
             raise InputError(

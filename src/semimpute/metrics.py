@@ -370,58 +370,35 @@ def evaluate(
 def report_to_dict(report: EvaluationReport) -> dict:
     return {
         "per_variable": [
-            {
-                "name": v.name,
-                "rmse": v.rmse,
-                "mape_pct": v.mape_pct,
-                "r2": v.r2,
-                "wasserstein": v.wasserstein,
-                "wilcoxon": dict(v.wilcoxon._asdict()),
-                "n_cells": v.n_cells,
-                "mape_skipped": v.mape_skipped,
-            }
-            for v in report.per_variable
+            {**vars(v), "wilcoxon": v.wilcoxon._asdict()} for v in report.per_variable
         ],
-        "aggregate": dict(report.aggregate._asdict()),
+        "aggregate": report.aggregate._asdict(),
         "metadata": report.metadata,
     }
 
 
+# Columns of the CSV report, one row per variable: ``csv_row`` fills them.
+CSV_COLUMNS = (
+    "variable", "rmse", "mape_pct", "r2", "wasserstein",
+    "wilcoxon_statistic", "wilcoxon_p", "effect_size", "ci_lower", "ci_upper", "n_cells",
+)
+
+
+def csv_row(v: VariableMetrics) -> list:
+    """The ``CSV_COLUMNS`` of one variable, in order."""
+    w = v.wilcoxon
+    return [
+        v.name, v.rmse, v.mape_pct, v.r2, v.wasserstein,
+        w.statistic, w.p_value, w.effect_size, w.ci_lower, w.ci_upper, v.n_cells,
+    ]
+
+
 def report_to_csv(report: EvaluationReport) -> str:
     """One row per variable plus an aggregate row."""
-    header = [
-        "variable",
-        "rmse",
-        "mape_pct",
-        "r2",
-        "wasserstein",
-        "wilcoxon_statistic",
-        "wilcoxon_p",
-        "effect_size",
-        "ci_lower",
-        "ci_upper",
-        "n_cells",
-    ]
-    rows = [
-        [
-            v.name,
-            v.rmse,
-            v.mape_pct,
-            v.r2,
-            v.wasserstein,
-            v.wilcoxon.statistic,
-            v.wilcoxon.p_value,
-            v.wilcoxon.effect_size,
-            v.wilcoxon.ci_lower,
-            v.wilcoxon.ci_upper,
-            v.n_cells,
-        ]
-        for v in report.per_variable
-    ]
-    agg = report.aggregate
+    rows = [csv_row(v) for v in report.per_variable]
     n_cells = sum(v.n_cells for v in report.per_variable)
-    rows.append(["AGGREGATE", agg.rmse, agg.mape_pct, agg.r2, agg.wasserstein, *[None] * 5, n_cells])
-    return csv_text(header, rows)
+    rows.append(["AGGREGATE", *report.aggregate, *[None] * 5, n_cells])
+    return csv_text(list(CSV_COLUMNS), rows)
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:

@@ -112,6 +112,23 @@ def test_simulate_respects_column_restriction(tmp_path, bivariate):
     assert (~mask[:, 1]).sum() == 15
 
 
+def test_simulate_columns_naming_no_column_fails(tmp_path, bivariate, capsys):
+    variables, csv = bivariate
+    args = ["simulate", "--variables", variables, "--input", csv, "--columns", " , "]
+    assert run([*args, "--out-prefix", str(tmp_path / "sim")]) == 2
+    assert "--columns names no column" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sim.*"))
+
+
+def test_simulate_rejects_a_repeated_column_name(tmp_path, capsys):
+    variables = _write_variables(tmp_path, [{"name": "x", "kind": "continuous"}] * 2)
+    csv = _write_csv(tmp_path, "dup.csv", ["x", "x"], [(1.0, 2.0), (3.0, 4.0)])
+    args = ["simulate", "--variables", variables, "--input", csv, "--rate", "0"]
+    assert run([*args, "--out-prefix", str(tmp_path / "sim")]) == 2
+    assert "duplicate variable name 'x'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sim.*"))
+
+
 def test_impute_writes_complete_output_and_is_deterministic(tmp_path, bivariate):
     variables, csv = bivariate
     sim_prefix = str(tmp_path / "sim")
@@ -621,6 +638,8 @@ def test_config_file_with_unknown_key_fails(tmp_path, bivariate, capsys):
         ({"sem": 3}, 2),
         ({"mode": None}, 2),
         ({"lr": 1, "sem": None, "lenient": True, "init_moments": "saturated"}, 0),
+        ({"mode": "bogus"}, 2),
+        ({"init_moments": "bogus"}, 2),
     ],
 )
 def test_config_file_value_must_have_the_type_of_its_default(
@@ -636,6 +655,16 @@ def test_config_file_value_must_have_the_type_of_its_default(
     if code == 2:
         assert all(f"config key {key!r} must be" in err for key in values)
         assert not list(tmp_path.glob("x.*"))
+
+
+def test_evaluate_config_report_format_must_be_a_choice(tmp_path, bivariate, capsys):
+    variables, csv = bivariate
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"report_format": "xml"}))
+    args = ["evaluate", "--variables", variables, "--truth", csv, "--method", "mean"]
+    assert run([*args, "--config", str(config), "--out-prefix", str(tmp_path / "ev")]) == 2
+    assert "config key 'report_format' must be one of ['json', 'csv']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("ev.*"))
 
 
 def test_discover_rejects_a_negative_threshold(tmp_path, bivariate, capsys, monkeypatch):
@@ -747,3 +776,68 @@ def test_write_cell_flags_quotes_a_name_with_a_comma(tmp_path):
     with open(path, newline="", encoding="utf-8") as fh:
         lines = list(csv.reader(fh))
     assert lines == [["a,b", "c"], ["1", "0"], ["0", "1"]]
+
+
+_TRAINING_DEFAULTS = {
+    "alpha": 1.0,
+    "beta": 0.1,
+    "em_max_iter": 500,
+    "em_tol": 1e-06,
+    "epochs": 500,
+    "gamma": 0.001,
+    "init_moments": "implied",
+    "lr": 0.001,
+    "seed": 0,
+    "self_mask_rate": 0.1,
+    "sem": None,
+    "tol": 1e-05,
+}
+_PATHS = {"variables": "v.json", "out_prefix": "o", "lenient": False}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["impute", "--input", "in.csv"],
+            {**_PATHS, **_TRAINING_DEFAULTS, "input": "in.csv", "mode": "self_supervised", "truth": None},
+        ),
+        (
+            ["evaluate", "--truth", "t.csv"],
+            {
+                **_PATHS,
+                **_TRAINING_DEFAULTS,
+                "truth": "t.csv",
+                "knn_k": 5,
+                "method": "sesa",
+                "mode": "benchmark",
+                "rate": 0.3,
+                "report_format": "json",
+                "trials": 1,
+            },
+        ),
+        (
+            ["discover", "--input", "in.csv"],
+            {
+                **_PATHS,
+                "input": "in.csv",
+                "h_tol": 1e-08,
+                "inner_lr": 0.01,
+                "inner_steps": 500,
+                "lambda1": 0.1,
+                "suggest_outcome": None,
+                "threshold": 0.3,
+            },
+        ),
+        (
+            ["simulate", "--input", "in.csv"],
+            {**_PATHS, "input": "in.csv", "columns": None, "rate": 0.3, "seed": 0},
+        ),
+    ],
+    ids=["impute", "evaluate", "discover", "simulate"],
+)
+def test_resolved_defaults_of_each_command(argv, expected):
+    args = cli.build_parser().parse_args([*argv, "--variables", "v.json", "--out-prefix", "o"])
+    options = cli.resolve_config(args).options
+    assert options == expected
+    assert {k: type(v) for k, v in options.items()} == {k: type(v) for k, v in expected.items()}

@@ -103,6 +103,22 @@ def test_load_csv_rejects_header_mismatch(tmp_path):
         load_csv(csv_path, load_variable_specs(spec_path))
 
 
+def test_load_variable_specs_rejects_a_repeated_name(tmp_path):
+    spec_path = tmp_path / "variables.json"
+    specs = [{"name": n, "kind": "continuous"} for n in ("x", "y", "x")]
+    spec_path.write_text(json.dumps(specs))
+    with pytest.raises(InputError, match="duplicate variable name 'x'"):
+        load_variable_specs(spec_path)
+
+
+def test_load_csv_rejects_a_repeated_header_name(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x,y,x\n1,2,3\n")
+    specs = [VariableSpec(n, "continuous") for n in ("x", "y", "x")]
+    with pytest.raises(InputError, match="column 'x' appears more than once in the header"):
+        load_csv(csv_path, specs)
+
+
 def test_load_csv_missing_tokens(tmp_path):
     csv_path, spec_path = _write_inputs(
         tmp_path,
