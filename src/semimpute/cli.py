@@ -221,8 +221,6 @@ def _jsonify(obj):
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
@@ -367,16 +365,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     for trial in range(1, trials + 1):
         seed = cfg["seed"] if trials == 1 else derive_seed(cfg["seed"], trial)
         seeds.append(seed)
-        masked, plan = apply_mcar(truth_enc, cfg["rate"], seed)
-        eval_mask = np.zeros(truth_enc.values.shape, dtype=bool)
-        eval_mask[plan.index()] = True
+        masked, eval_mask = apply_mcar(truth_enc, cfg["rate"], seed)
         imputed, extra = _run_method(cfg, method, masked, truth_enc, seed)
         meta = {
             "method": method,
             "rate": cfg["rate"],
             "seed": seed,
             "trial": trial,
-            "masked_cells": plan.count,
+            "masked_cells": int(eval_mask.sum()),
         }
         meta.update(extra)
         report = evaluate(
@@ -516,7 +512,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if not names:
             raise InputError(f"--columns names no column: {cfg['columns']!r}")
         columns = [ds.column_index(name) for name in names]
-    masked, plan = apply_mcar(ds, cfg["rate"], cfg["seed"], columns=columns)
+    masked, hidden = apply_mcar(ds, cfg["rate"], cfg["seed"], columns=columns)
 
     prefix = cfg["out_prefix"]
     save_csv(masked, f"{prefix}.masked.csv")
@@ -526,7 +522,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         {
             "n_rows": ds.n,
             "n_columns": ds.d,
-            "masked_cells": plan.count,
+            "masked_cells": int(hidden.sum()),
             "outputs": {
                 "masked": f"{prefix}.masked.csv",
                 "mask": f"{prefix}.mask.csv",

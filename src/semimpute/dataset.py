@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -114,9 +114,6 @@ class Dataset:
     def with_values(self, values: np.ndarray) -> "Dataset":
         return replace(self, values=values)
 
-    def with_mask(self, mask: np.ndarray) -> "Dataset":
-        return replace(self, mask=mask)
-
     def n_missing(self) -> int:
         return int((~self.mask).sum())
 
@@ -136,11 +133,16 @@ def load_variable_specs(path) -> tuple[VariableSpec, ...]:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise InputError(f"variable spec entries need name and kind: {entry!r}")
+        levels = entry.get("levels", [])
+        if not isinstance(entry["name"], str):
+            raise InputError(f"variable spec name must be a string: {entry!r}")
+        if not isinstance(levels, list) or not all(isinstance(v, str) for v in levels):
+            raise InputError(f"variable spec levels must be an array of strings: {entry!r}")
         specs.append(
             VariableSpec(
                 name=entry["name"],
                 kind=entry["kind"],
-                levels=tuple(entry.get("levels", ())),
+                levels=tuple(levels),
             )
         )
         if any(s.name == specs[-1].name for s in specs[:-1]):

@@ -2,37 +2,17 @@
 
 The selection of cells to hide is a pure function of (shape, scope, rate,
 seed): cells in scope are enumerated row-major and an exact count of them is
-drawn without replacement via the package PRNG.
+drawn without replacement via the package PRNG.  A draw comes back as an
+(n, d) boolean matrix of the hidden cells, the form of ``Dataset.mask``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import MISSING_SENTINEL, Dataset
 from .errors import InputError
 from .rng import choose_without_replacement
-
-
-@dataclass(frozen=True)
-class MaskPlan:
-    """The cells an MCAR pass will hide, before any data is touched."""
-
-    shape: tuple[int, int]
-    cells: tuple[tuple[int, int], ...]
-    rate: float
-    seed: int
-
-    @property
-    def count(self) -> int:
-        return len(self.cells)
-
-    def index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column index arrays of ``cells``, for fancy indexing."""
-        rows_cols = np.array(self.cells, dtype=np.intp).reshape(-1, 2)
-        return rows_cols[:, 0], rows_cols[:, 1]
 
 
 def plan_mcar(
@@ -42,13 +22,13 @@ def plan_mcar(
     *,
     columns: list[int] | None = None,
     eligible: np.ndarray | None = None,
-) -> MaskPlan:
+) -> np.ndarray:
     """Choose exactly ``floor(rate * m + 0.5)`` of the m in-scope cells.
 
     Scope is the whole matrix by default, restricted by ``columns`` and/or an
     ``eligible`` boolean matrix (e.g. currently-observed cells).  Cells are
     enumerated row-major so the draw is reproducible across runs and
-    platforms.
+    platforms.  Returns the (n, d) boolean matrix of the chosen cells.
     """
     n, d = shape
     if not 0.0 <= rate < 1.0:
@@ -65,9 +45,9 @@ def plan_mcar(
         scope &= eligible
     pool = np.flatnonzero(scope)
     count = int(np.floor(rate * pool.size + 0.5))
-    picked = pool[choose_without_replacement(pool.size, count, seed)]
-    cells = tuple(zip((picked // d).tolist(), (picked % d).tolist()))
-    return MaskPlan(shape=shape, cells=cells, rate=rate, seed=seed)
+    hidden = np.zeros((n, d), dtype=bool)
+    hidden.flat[pool[choose_without_replacement(pool.size, count, seed)]] = True
+    return hidden
 
 
 def apply_mcar(
@@ -76,18 +56,17 @@ def apply_mcar(
     seed: int,
     *,
     columns: list[int] | None = None,
-) -> tuple[Dataset, MaskPlan]:
+) -> tuple[Dataset, np.ndarray]:
     """Hide an exact MCAR fraction of the currently-observed cells.
 
     Hidden cells get mask=False and the 0.0 sentinel value.  Returns the
-    masked dataset and the plan that produced it.
+    masked dataset and the boolean matrix of the cells it hid.
     """
-    plan = plan_mcar(
-        (ds.n, ds.d), rate, seed, columns=columns, eligible=np.asarray(ds.mask)
+    hidden = plan_mcar((ds.n, ds.d), rate, seed, columns=columns, eligible=ds.mask)
+    masked = Dataset(
+        values=np.where(hidden, MISSING_SENTINEL, ds.values),
+        mask=ds.mask & ~hidden,
+        specs=ds.specs,
+        normalization=ds.normalization,
     )
-    cells = plan.index()
-    values = ds.values.copy()
-    mask = ds.mask.copy()
-    values[cells] = MISSING_SENTINEL
-    mask[cells] = False
-    return ds.with_values(values).with_mask(mask), plan
+    return masked, hidden

@@ -19,7 +19,6 @@ import numpy as np
 
 from .attention import AttentionParams, attention_backward, attention_forward, init_params
 from .dataset import (
-    CONTINUOUS,
     Dataset,
     PairwiseStats,
     apply_normalization,
@@ -228,10 +227,7 @@ class TrainResult(NamedTuple):
 
 
 def _self_mask_matrix(ds: Dataset, rate: float, seed: int) -> np.ndarray:
-    plan = plan_mcar((ds.n, ds.d), rate, seed, eligible=np.asarray(ds.mask))
-    out = np.zeros((ds.n, ds.d), dtype=bool)
-    out[plan.index()] = True
-    return out
+    return plan_mcar((ds.n, ds.d), rate, seed, eligible=ds.mask)
 
 
 def train(

@@ -120,6 +120,32 @@ def test_simulate_columns_naming_no_column_fails(tmp_path, bivariate, capsys):
     assert not list(tmp_path.glob("sim.*"))
 
 
+@pytest.mark.parametrize(
+    "entry, header, message",
+    [
+        ({"name": 3, "kind": "continuous"}, ["x", "3"], "name must be a string: {'name': 3"),
+        (
+            {"name": "g", "kind": "ordinal", "levels": "Fair"},
+            ["x", "g"],
+            "levels must be an array of strings: {'name': 'g'",
+        ),
+        (
+            {"name": "g", "kind": "ordinal", "levels": [1, 2]},
+            ["x", "g"],
+            "levels must be an array of strings: {'name': 'g'",
+        ),
+    ],
+    ids=["name-int", "levels-string", "levels-ints"],
+)
+def test_simulate_rejects_variable_specs_of_the_wrong_json_type(tmp_path, capsys, entry, header, message):
+    variables = _write_variables(tmp_path, [{"name": "x", "kind": "continuous"}, entry])
+    csv = _write_csv(tmp_path, "in.csv", header, [(1.0, 1), (2.0, 0), (3.0, 1)])
+    args = ["simulate", "--variables", variables, "--input", csv, "--rate", "0"]
+    assert run([*args, "--out-prefix", str(tmp_path / "sim")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("sim.*"))
+
+
 def test_simulate_rejects_a_repeated_column_name(tmp_path, capsys):
     variables = _write_variables(tmp_path, [{"name": "x", "kind": "continuous"}] * 2)
     csv = _write_csv(tmp_path, "dup.csv", ["x", "x"], [(1.0, 2.0), (3.0, 4.0)])

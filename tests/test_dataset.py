@@ -111,6 +111,30 @@ def test_load_variable_specs_rejects_a_repeated_name(tmp_path):
         load_variable_specs(spec_path)
 
 
+def _write_specs(tmp_path, specs):
+    spec_path = tmp_path / "variables.json"
+    spec_path.write_text(json.dumps(specs))
+    return spec_path
+
+
+def test_load_variable_specs_rejects_a_non_string_name(tmp_path):
+    spec_path = _write_specs(tmp_path, [{"name": 3, "kind": "continuous"}, {"name": "x", "kind": "continuous"}])
+    with pytest.raises(InputError, match=r"name must be a string: \{'name': 3"):
+        load_variable_specs(spec_path)
+
+
+def test_load_variable_specs_rejects_levels_given_as_one_string(tmp_path):
+    spec_path = _write_specs(tmp_path, [{"name": "health", "kind": "ordinal", "levels": "Fair"}])
+    with pytest.raises(InputError, match="levels must be an array of strings: .*'health'"):
+        load_variable_specs(spec_path)
+
+
+def test_load_variable_specs_rejects_non_string_levels(tmp_path):
+    spec_path = _write_specs(tmp_path, [{"name": "grade", "kind": "ordinal", "levels": [1, 2]}])
+    with pytest.raises(InputError, match="levels must be an array of strings: .*'grade'"):
+        load_variable_specs(spec_path)
+
+
 def test_load_csv_rejects_a_repeated_header_name(tmp_path):
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("x,y,x\n1,2,3\n")

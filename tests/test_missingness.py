@@ -13,30 +13,30 @@ from semimpute.rng import choose_without_replacement
 
 def test_count_rounds_half_up():
     # 10 cells at 25%: floor(2.5 + 0.5) = 3.
-    plan = plan_mcar((2, 5), 0.25, seed=0)
-    assert plan.count == 3
-    assert len(plan.cells) == 3
+    hidden = plan_mcar((2, 5), 0.25, seed=0)
+    assert hidden.shape == (2, 5) and hidden.dtype == bool
+    assert hidden.sum() == 3
 
 
 def test_plan_is_deterministic():
     a = plan_mcar((20, 4), 0.3, seed=99)
     b = plan_mcar((20, 4), 0.3, seed=99)
-    assert a.cells == b.cells
-    assert plan_mcar((20, 4), 0.3, seed=100).cells != a.cells
+    assert np.array_equal(a, b)
+    assert not np.array_equal(plan_mcar((20, 4), 0.3, seed=100), a)
 
 
 def test_column_restriction():
-    plan = plan_mcar((50, 3), 0.4, seed=1, columns=[2])
-    assert plan.count == 20
-    assert all(j == 2 for _, j in plan.cells)
+    hidden = plan_mcar((50, 3), 0.4, seed=1, columns=[2])
+    assert hidden[:, 2].sum() == 20
+    assert not hidden[:, :2].any()
 
 
 def test_eligible_pool_excludes_given_cells():
     eligible = np.ones((10, 2), dtype=bool)
     eligible[:, 0] = False
-    plan = plan_mcar((10, 2), 0.5, seed=3, eligible=eligible)
-    assert all(j == 1 for _, j in plan.cells)
-    assert plan.count == 5  # 50% of the 10 eligible cells
+    hidden = plan_mcar((10, 2), 0.5, seed=3, eligible=eligible)
+    assert not hidden[:, 0].any()
+    assert hidden.sum() == 5  # 50% of the 10 eligible cells
 
 
 def test_rate_bounds():
@@ -48,8 +48,9 @@ def test_rate_bounds():
 
 def test_apply_mcar_sets_sentinel_and_mask(make_mvn):
     truth = make_mvn(0, n=100)
-    masked, plan = apply_mcar(truth, 0.3, seed=5)
-    assert masked.n_missing() == plan.count == 60
+    masked, hidden = apply_mcar(truth, 0.3, seed=5)
+    assert masked.n_missing() == hidden.sum() == 60
+    assert np.array_equal(hidden, ~masked.mask)
     holes = ~masked.mask
     assert np.all(masked.values[holes] == MISSING_SENTINEL)
     assert np.array_equal(masked.values[masked.mask], truth.values[masked.mask])
@@ -58,24 +59,21 @@ def test_apply_mcar_sets_sentinel_and_mask(make_mvn):
 def test_apply_mcar_skips_already_missing(make_mvn):
     truth = make_mvn(1, n=50)
     once, _ = apply_mcar(truth, 0.2, seed=7)
-    twice, plan = apply_mcar(once, 0.5, seed=8)
+    twice, hidden = apply_mcar(once, 0.5, seed=8)
     # Second pass draws only from the cells the first pass left observed.
-    first_holes = {tuple(c) for c in zip(*np.where(~once.mask))}
-    assert first_holes.isdisjoint(set(plan.cells))
-    assert twice.n_missing() == once.n_missing() + plan.count
+    assert not (hidden & ~once.mask).any()
+    assert twice.n_missing() == once.n_missing() + hidden.sum()
 
 
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=20, deadline=None)
 def test_per_column_fraction_is_hypergeometric(seed):
     n, d, rate = 10000, 4, 0.3
-    plan = plan_mcar((n, d), rate, seed=seed)
-    counts = np.zeros(d)
-    for _, j in plan.cells:
-        counts[j] += 1
+    hidden = plan_mcar((n, d), rate, seed=seed)
+    counts = hidden.sum(axis=0)
     # Sampling without replacement: per-column count is hypergeometric.
     total = n * d
-    k = plan.count
+    k = hidden.sum()
     mean = k * n / total
     var = k * (n / total) * (1 - n / total) * (total - k) / (total - 1)
     bound = 4.0 * math.sqrt(var)
@@ -113,13 +111,10 @@ def _plan_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_plan_matches_loop_oracle(inputs):
     shape, rate, seed, columns, eligible = inputs
-    plan = plan_mcar(shape, rate, seed, columns=columns, eligible=eligible)
+    hidden = plan_mcar(shape, rate, seed, columns=columns, eligible=eligible)
     want = _plan_cells_oracle(shape, rate, seed, columns, eligible)
-    assert plan.cells == want
-    assert all(type(i) is int and type(j) is int for i, j in plan.cells)
-    hidden = np.zeros(shape, dtype=bool)
-    hidden[plan.index()] = True
-    assert set(zip(*np.nonzero(hidden))) == set(want)
+    assert hidden.shape == shape and hidden.dtype == bool
+    assert tuple(map(tuple, np.argwhere(hidden).tolist())) == want
 
 
 def test_eligible_must_match_shape():
